@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceLimitError
-from .model import Model
+from .model import Model, bits, box
 from .syntax import (Atom, CondBelief, Formula, Fragment, GtBox, Know,
                      Not, And, SafeBelief, Top, format_formula)
 
@@ -139,15 +139,27 @@ def relation_from_dict(doc: dict, left: Model, right: Model) -> Relation:
 # ---------------------------------------------------------------------------
 # Structural notions
 
-def _zig_data(m: Model, agent: str, w: str):
-    """Candidate partners for each structural clause at (agent, w):
-    whole class, the at-least-as-plausible part, the strictly-more-plausible
-    part."""
-    cls = frozenset(v for x, v in m.epist[agent] if x == w)
-    rel = m.plaus[(agent, w)]
-    below = frozenset(v for v in cls if (v, w) in rel)
-    strictly = frozenset(v for v in below if (w, v) not in rel)
-    return cls, below, strictly
+def _images(rel: Relation):
+    """Per left state the mask of its right partners, and the converse."""
+    li, ri = rel.left.index, rel.right.index
+    l_img = [0] * len(li.states)
+    r_img = [0] * len(ri.states)
+    for w, v in rel.pairs:
+        l_img[li.pos[w]] |= 1 << ri.pos[v]
+        r_img[ri.pos[v]] |= 1 << li.pos[w]
+    return l_img, r_img
+
+
+def _unmatched(lt: int, rt: int, l_img: list, r_img: list):
+    """("zig", x) for the first x in lt with no partner in rt, else
+    ("zag", y) for the first y in rt with none in lt; None when both match."""
+    for x in bits(lt):
+        if not l_img[x] & rt:
+            return "zig", x
+    for y in bits(rt):
+        if not r_img[y] & lt:
+            return "zag", y
+    return None
 
 
 def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
@@ -159,12 +171,9 @@ def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
     if bad:
         raise InputError(f"not structural notions: {sorted(bad)}")
     left, right = rel.left, rel.right
+    li, ri = left.index, right.index
     atoms = _atoms_of(left, right)
-    l_image: dict = {}
-    r_image: dict = {}
-    for w, v in rel.pairs:
-        l_image.setdefault(w, set()).add(v)
-        r_image.setdefault(v, set()).add(w)
+    l_img, r_img = _images(rel)
 
     for w, v in rel.sorted_pairs():
         for p in atoms:
@@ -172,23 +181,19 @@ def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
                 return CheckResult(False, Violation(
                     "atoms", (w, v), detail=f"atom {p}"))
 
-    sel = {"K": 0, "Bplus": 1, "Gt": 2}
     for kind in _STRUCTURAL_KINDS:
         if kind not in fragment:
             continue
-        idx = sel[kind]
         for w, v in rel.sorted_pairs():
             for agent in left.agents:
-                l_targets = _zig_data(left, agent, w)[idx]
-                r_targets = _zig_data(right, agent, v)[idx]
-                for x in sorted(l_targets):
-                    if not (l_image.get(x, frozenset()) & r_targets):
-                        return CheckResult(False, Violation(
-                            f"{kind}-zig", (w, v), agent=agent, state=x))
-                for y in sorted(r_targets):
-                    if not (r_image.get(y, frozenset()) & l_targets):
-                        return CheckResult(False, Violation(
-                            f"{kind}-zag", (w, v), agent=agent, state=y))
+                miss = _unmatched(li.targets(kind, agent)[li.pos[w]],
+                                  ri.targets(kind, agent)[ri.pos[v]],
+                                  l_img, r_img)
+                if miss:
+                    side, x = miss
+                    names = li.states if side == "zig" else ri.states
+                    return CheckResult(False, Violation(
+                        f"{kind}-{side}", (w, v), agent=agent, state=names[x]))
     return CheckResult(True)
 
 
@@ -200,136 +205,44 @@ def greatest_structural(left: Model, right: Model, fragment: Fragment) -> Relati
     bad = fragment.operators - frozenset(_STRUCTURAL_KINDS)
     if bad:
         raise InputError(f"not structural notions: {sorted(bad)}")
+    li, ri = left.index, right.index
     atoms = _atoms_of(left, right)
-    pairs = {
-        (w, v)
-        for w in left.states
-        for v in right.states
-        if all((w in left.atom_extension(p)) == (v in right.atom_extension(p))
-               for p in atoms)
-    }
-    kinds = [k for k in _STRUCTURAL_KINDS if k in fragment]
-    sel = {"K": 0, "Bplus": 1, "Gt": 2}
-    zig_l = {
-        (a, w): _zig_data(left, a, w) for a in left.agents for w in left.states}
-    zig_r = {
-        (a, v): _zig_data(right, a, v) for a in right.agents for v in right.states}
+    by_atoms: dict = {}
+    for v in right.states:
+        sig = tuple(v in right.atom_extension(p) for p in atoms)
+        by_atoms[sig] = by_atoms.get(sig, 0) | 1 << ri.pos[v]
+    l_img = [by_atoms.get(tuple(w in left.atom_extension(p) for p in atoms), 0)
+             for w in left.states]
+    clauses = [(kind, a) for kind in _STRUCTURAL_KINDS if kind in fragment
+               for a in left.agents]
+    l_t = {c: li.targets(*c) for c in clauses}
+    r_t = {c: ri.targets(*c) for c in clauses}
 
     changed = True
     while changed:
         changed = False
-        l_image: dict = {}
-        r_image: dict = {}
-        for w, v in pairs:
-            l_image.setdefault(w, set()).add(v)
-            r_image.setdefault(v, set()).add(w)
-        doomed = set()
-        for w, v in pairs:
-            ok = True
-            for kind in kinds:
-                idx = sel[kind]
-                for agent in left.agents:
-                    l_targets = zig_l[(agent, w)][idx]
-                    r_targets = zig_r[(agent, v)][idx]
-                    if any(not (l_image.get(x, frozenset()) & r_targets)
-                           for x in l_targets):
-                        ok = False
-                        break
-                    if any(not (r_image.get(y, frozenset()) & l_targets)
-                           for y in r_targets):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                doomed.add((w, v))
-        if doomed:
-            pairs -= doomed
-            changed = True
-    return Relation(left, right, frozenset(pairs))
+        r_img = [0] * len(right.states)
+        for w, vs in enumerate(l_img):
+            for v in bits(vs):
+                r_img[v] |= 1 << w
+        # Pairs removed in this sweep may still show in r_img; that only
+        # keeps a doomed pair one more round, never drops a sound one.
+        for w in range(len(left.states)):
+            for v in bits(l_img[w]):
+                if any(_unmatched(l_t[c][w], r_t[c][v], l_img, r_img)
+                       for c in clauses):
+                    l_img[w] &= ~(1 << v)
+                    changed = True
+    return Relation(left, right, frozenset(
+        (w, right.states[v]) for k, w in enumerate(left.states)
+        for v in bits(l_img[k])))
 
 
 # ---------------------------------------------------------------------------
 # Definable-pair closure
 
-class _Side:
-    """Bitmask view of one model with cached truth-set transformers."""
-
-    def __init__(self, m: Model):
-        self.m = m
-        self.states = m.states
-        self.index = {s: k for k, s in enumerate(m.states)}
-        self.n = len(m.states)
-        self.full = (1 << self.n) - 1
-        self.cls = {}
-        self.below = {}
-        self.above = {}
-        for a in m.agents:
-            for w in m.states:
-                wi = self.index[w]
-                cls_mask = 0
-                for x, v in m.epist[a]:
-                    if x == w:
-                        cls_mask |= 1 << self.index[v]
-                self.cls[(a, wi)] = cls_mask
-                below = [0] * self.n
-                above = [0] * self.n
-                for x, y in m.plaus[(a, w)]:
-                    below[self.index[y]] |= 1 << self.index[x]
-                    above[self.index[x]] |= 1 << self.index[y]
-                self.below[(a, wi)] = below
-                self.above[(a, wi)] = above
-        self._min_cache: dict = {}
-        self._box_cache: dict = {}
-
-    def mask(self, xs) -> int:
-        out = 0
-        for s in xs:
-            out |= 1 << self.index[s]
-        return out
-
-    def unmask(self, mask: int) -> frozenset:
-        return frozenset(s for s, k in self.index.items() if mask >> k & 1)
-
-    def min_mask(self, agent: str, wi: int, xmask: int) -> int:
-        key = (agent, wi, xmask)
-        got = self._min_cache.get(key)
-        if got is not None:
-            return got
-        below = self.below[(agent, wi)]
-        above = self.above[(agent, wi)]
-        out = 0
-        rest = xmask
-        while rest:
-            low = rest & -rest
-            xi = low.bit_length() - 1
-            rest ^= low
-            if not (xmask & below[xi] & ~above[xi]):
-                out |= low
-        self._min_cache[key] = out
-        return out
-
-    def box(self, kind: str, agent: str, mask: int, cond: int = 0) -> int:
-        key = (kind, agent, mask, cond)
-        got = self._box_cache.get(key)
-        if got is not None:
-            return got
-        out = 0
-        for wi in range(self.n):
-            cls = self.cls[(agent, wi)]
-            if kind == "K":
-                targets = cls
-            elif kind == "Bplus":
-                targets = self.below[(agent, wi)][wi] & cls
-            elif kind == "Gt":
-                targets = (self.below[(agent, wi)][wi]
-                           & ~self.above[(agent, wi)][wi] & cls)
-            else:  # Bc
-                targets = self.min_mask(agent, wi, cond & cls)
-            if not (targets & ~mask):
-                out |= 1 << wi
-        self._box_cache[key] = out
-        return out
+_RECIPE_NODES = {"atom": Atom, "top": Top, "not": Not, "and": And, "K": Know,
+                 "Bplus": SafeBelief, "Gt": GtBox, "Bc": CondBelief}
 
 
 @dataclass
@@ -359,26 +272,10 @@ class PairFamily:
         got = self._formulas.get(k)
         if got is not None:
             return got
-        recipe = self.recipes[k]
-        op = recipe[0]
-        if op == "atom":
-            out: Formula = Atom(recipe[1])
-        elif op == "top":
-            out = Top()
-        elif op == "not":
-            out = Not(self.formula(recipe[1]))
-        elif op == "and":
-            out = And(self.formula(recipe[1]), self.formula(recipe[2]))
-        elif op == "K":
-            out = Know(recipe[1], self.formula(recipe[2]))
-        elif op == "Bplus":
-            out = SafeBelief(recipe[1], self.formula(recipe[2]))
-        elif op == "Gt":
-            out = GtBox(recipe[1], self.formula(recipe[2]))
-        elif op == "Bc":
-            out = CondBelief(recipe[1], self.formula(recipe[2]), self.formula(recipe[3]))
-        else:
-            raise AssertionError(f"unknown recipe {recipe!r}")
+        op, *args = self.recipes[k]
+        # Strings are atom and agent names; ints are earlier members.
+        out = _RECIPE_NODES[op](*[self.formula(x) if isinstance(x, int) else x
+                                  for x in args])
         self._formulas[k] = out
         return out
 
@@ -402,12 +299,26 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
     bad = fragment.operators - frozenset({"K", "Bc", "Bplus", "Gt"})
     if bad:
         raise InputError(f"unknown static operators: {sorted(bad)}")
-    sl = _Side(left)
-    sr = _Side(right)
+    li, ri = left.index, right.index
     agents = left.agents
     entries: list[tuple[int, int]] = []
     recipes: list[tuple] = []
     seen: dict = {}
+    memos: dict = {li: {}, ri: {}}
+
+    def step(ix, kind, a, sub, cond=None):
+        """One side's truth mask of a modal step, memoized for this call,
+        as are the best-state groups of each condition.  The keys hold no
+        objects, so the garbage collector soon stops tracking them."""
+        memo = memos[ix]
+        got = memo.get((kind, a, sub, cond))
+        if got is None:
+            groups = memo.get((kind, a, cond))
+            if groups is None:
+                groups = memo[(kind, a, cond)] = (
+                    ix.best(a, cond) if kind == "Bc" else ix.groups(kind, a))
+            got = memo[(kind, a, sub, cond)] = box(groups, sub)
+        return got
 
     def add(pair, recipe) -> None:
         if pair in seen:
@@ -420,34 +331,33 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
         recipes.append(recipe)
 
     for p in _atoms_of(left, right):
-        add((sl.mask(left.atom_extension(p)), sr.mask(right.atom_extension(p))),
-            ("atom", p))
-    add((sl.full, sr.full), ("top",))
+        add((li.atom(p), ri.atom(p)), ("atom", p))
+    add((li.live, ri.live), ("top",))
 
     unary = [k for k in ("K", "Bplus", "Gt") if k in fragment]
     use_bc = "Bc" in fragment
     i = 0
     while i < len(entries):
         ml, mr = entries[i]
-        add((sl.full & ~ml, sr.full & ~mr), ("not", i))
+        add((li.live & ~ml, ri.live & ~mr), ("not", i))
         for j in range(i + 1):
             nl, nr = entries[j]
             add((ml & nl, mr & nr), ("and", i, j))
         for kind in unary:
             for a in agents:
-                add((sl.box(kind, a, ml), sr.box(kind, a, mr)), (kind, a, i))
+                add((step(li, kind, a, ml), step(ri, kind, a, mr)), (kind, a, i))
         if use_bc:
             for a in agents:
                 for j in range(i + 1):
                     nl, nr = entries[j]
-                    add((sl.box("Bc", a, nl, cond=ml), sr.box("Bc", a, nr, cond=mr)),
+                    add((step(li, "Bc", a, nl, ml), step(ri, "Bc", a, nr, mr)),
                         ("Bc", a, i, j))
                     if j != i:
-                        add((sl.box("Bc", a, ml, cond=nl), sr.box("Bc", a, mr, cond=nr)),
+                        add((step(li, "Bc", a, ml, nl), step(ri, "Bc", a, mr, nr)),
                             ("Bc", a, j, i))
         i += 1
 
-    pairs = tuple((sl.unmask(ml), sr.unmask(mr)) for ml, mr in entries)
+    pairs = tuple((li.names(ml), ri.names(mr)) for ml, mr in entries)
     return PairFamily(left, right, fragment, pairs, tuple(recipes))
 
 
@@ -476,31 +386,24 @@ def check_bc(rel: Relation, fragment: Fragment,
     left, right = rel.left, rel.right
     if family is None:
         family = definable_pairs(left, right, fragment, cap=cap)
-    l_image: dict = {}
-    r_image: dict = {}
-    for w, v in rel.pairs:
-        l_image.setdefault(w, set()).add(v)
-        r_image.setdefault(v, set()).add(w)
-    sl = _Side(left)
-    sr = _Side(right)
+    li, ri = left.index, right.index
+    l_img, r_img = _images(rel)
+    conds = [(li.mask(ls), ri.mask(rs)) for ls, rs in family.pairs]
 
     for w, v in rel.sorted_pairs():
-        wi = sl.index[w]
-        vi = sr.index[v]
+        wi, vi = li.pos[w], ri.pos[v]
         for agent in left.agents:
-            for k, (ls, rs) in enumerate(family.pairs):
-                lmin = sl.unmask(sl.min_mask(agent, wi, sl.mask(ls) & sl.cls[(agent, wi)]))
-                rmin = sr.unmask(sr.min_mask(agent, vi, sr.mask(rs) & sr.cls[(agent, vi)]))
-                for x in sorted(lmin):
-                    if not (l_image.get(x, frozenset()) & rmin):
-                        return CheckResult(False, Violation(
-                            "Bc-zig", (w, v), agent=agent, state=x,
-                            detail=f"condition {format_formula(family.formula(k))}"))
-                for y in sorted(rmin):
-                    if not (r_image.get(y, frozenset()) & lmin):
-                        return CheckResult(False, Violation(
-                            "Bc-zag", (w, v), agent=agent, state=y,
-                            detail=f"condition {format_formula(family.formula(k))}"))
+            l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
+            l_ord, r_ord = li.order(agent, wi), ri.order(agent, vi)
+            for k, (lc, rc) in enumerate(conds):
+                miss = _unmatched(li.least(l_ord, lc & l_row),
+                                  ri.least(r_ord, rc & r_row), l_img, r_img)
+                if miss:
+                    side, x = miss
+                    names = li.states if side == "zig" else ri.states
+                    return CheckResult(False, Violation(
+                        f"Bc-{side}", (w, v), agent=agent, state=names[x],
+                        detail=f"condition {format_formula(family.formula(k))}"))
     return CheckResult(True)
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success or true verdict, 1 false verdict, 2 input error,
-3 resource cap exceeded.
+Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
+(including a formula nested too deeply to parse or print), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -278,6 +279,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula is nested too deeply", file=sys.stderr)
         return 2
     except CorpusError as e:
         print(f"error: {e}", file=sys.stderr)

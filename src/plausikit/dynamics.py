@@ -4,7 +4,8 @@ Announcing a formula removes every state where it fails and restricts all
 relations to the survivors.  Upgrading promotes every state where the
 formula holds strictly above every state where it fails, keeping the
 original order within the two zones, and leaves states, indistinguishability
-and valuation untouched.  Both constructors return fresh immutable models.
+and valuation untouched.  Both constructors return fresh immutable models,
+materialized from the same index views the evaluator uses.
 """
 
 from __future__ import annotations
@@ -19,37 +20,19 @@ __all__ = ["announce", "upgrade", "announce_restrict", "upgrade_promote"]
 def announce_restrict(m: Model, keep: frozenset) -> Model:
     """Restrict the model to ``keep``.  Raises when ``keep`` is empty:
     a model must have at least one state."""
+    ix = m.index
+    keep = ix.mask(keep)
     if not keep:
         raise EmptyAnnouncementError("announcement leaves no states")
-    keep = frozenset(keep)
-    states = [s for s in m.states if s in keep]
-    epist = {
-        a: frozenset((x, y) for x, y in rel if x in keep and y in keep)
-        for a, rel in m.epist.items()
-    }
-    plaus = {
-        (a, w): frozenset((x, y) for x, y in rel if x in keep and y in keep)
-        for (a, w), rel in m.plaus.items()
-        if w in keep
-    }
-    valuation = {p: xs & keep for p, xs in m.valuation.items()}
-    return Model(states, m.agents, epist, plaus, valuation)
+    return ix.announced(keep).to_model()
 
 
 def upgrade_promote(m: Model, winners: frozenset) -> Model:
     """Rebuild every plausibility order so the ``winners`` zone sits strictly
     below (more plausible than) its complement, preserving order inside each
     zone."""
-    winners = frozenset(winners)
-    losers = frozenset(m.states) - winners
-    plaus = {}
-    for key, rel in m.plaus.items():
-        promoted = frozenset(
-            (x, y) for x, y in rel
-            if (x in winners and y in winners) or (x in losers and y in losers)
-        ) | frozenset((x, y) for x in winners for y in losers)
-        plaus[key] = promoted
-    return Model(m.states, m.agents, m.epist, plaus, m.valuation)
+    ix = m.index
+    return ix.upgraded(ix.mask(winners)).to_model()
 
 
 def announce(m: Model, f: Formula) -> Model:

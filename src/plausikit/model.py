@@ -13,9 +13,11 @@ here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable
 
 from .errors import InputError
@@ -48,27 +50,34 @@ class Model:
     ``epist[i]`` is agent i's indistinguishability relation as a set of state
     pairs.  ``plaus[(i, w)]`` is the plausibility preorder agent i uses at
     state w.  ``valuation[p]`` is the extension of atom p.  Construction
-    normalizes everything into sorted tuples and frozensets; it does not
-    check the model axioms, which is the job of :func:`validate`.
+    normalizes everything into sorted tuples and frozensets behind read-only
+    mappings; it does not check the model axioms, which is the job of
+    :func:`validate`.
     """
 
-    __slots__ = ("states", "agents", "epist", "plaus", "valuation", "_hash")
+    __slots__ = ("states", "agents", "epist", "plaus", "valuation", "_hash",
+                 "_index")
 
     def __init__(self, states, agents, epist, plaus, valuation):
-        self.states: tuple[str, ...] = tuple(sorted(set(states)))
-        self.agents: tuple[str, ...] = tuple(sorted(set(agents)))
-        self.epist: dict[str, frozenset] = {
+        put = object.__setattr__
+        put(self, "states", tuple(sorted(set(states))))
+        put(self, "agents", tuple(sorted(set(agents))))
+        put(self, "epist", MappingProxyType({
             a: frozenset((x, y) for x, y in pairs)
             for a, pairs in sorted(dict(epist).items())
-        }
-        self.plaus: dict[tuple[str, str], frozenset] = {
+        }))
+        put(self, "plaus", MappingProxyType({
             (a, w): frozenset((x, y) for x, y in pairs)
             for (a, w), pairs in sorted(dict(plaus).items())
-        }
-        self.valuation: dict[str, frozenset] = {
+        }))
+        put(self, "valuation", MappingProxyType({
             p: frozenset(xs) for p, xs in sorted(dict(valuation).items())
-        }
-        self._hash: int | None = None
+        }))
+        put(self, "_hash", None)
+        put(self, "_index", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Model is immutable; cannot set {name!r}")
 
     def _key(self):
         return (
@@ -93,9 +102,223 @@ class Model:
         return (f"Model(states={list(self.states)}, agents={list(self.agents)}, "
                 f"atoms={sorted(self.valuation)})")
 
+    @property
+    def index(self) -> "Index":
+        """The bitmask index every semantic operation reads; built on first
+        use and kept for the model's lifetime."""
+        if self._index is None:
+            object.__setattr__(self, "_index", Index(self))
+        return self._index
+
     def atom_extension(self, atom: str) -> frozenset:
         """Extension of an atom; absent atoms are false everywhere."""
         return self.valuation.get(atom, frozenset())
+
+
+def bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Order:
+    """A preorder as rows: ``below[y]`` holds the states at least as
+    plausible as y, ``above[x]`` those x is at least as plausible as.
+    Hashed by identity, so an order met twice is built and grouped once."""
+
+    __slots__ = ("below", "above")
+
+    def __init__(self, below, above):
+        self.below, self.above = below, above
+
+
+class Index:
+    """Bitmask form of a model, or a view of one after an announcement or an
+    upgrade.
+
+    State i of the sorted state tuple is bit i, so ascending bits list states
+    in sorted order; ``live`` is the set of states present.  ``rows(a)[x]``
+    is the set of states agent a relates to x, and ``order(a, w)`` the
+    preorder a holds at state w.  Both are built on first use: from the
+    model's pairs (pairs naming unknown states are ignored), or, in a view,
+    from the parent's masks.  :meth:`groups` and :meth:`best`, read through
+    :func:`box`, are the truth-set transformers of every modality.
+    """
+
+    __slots__ = ("states", "agents", "pos", "live", "_atoms", "_rels",
+                 "_parent", "_zone", "_upgrade", "_memo", "_sets", "__weakref__")
+
+    def __init__(self, m: Model | None, parent: "Index | None" = None,
+                 zone: int = 0, upgrade: bool = False):
+        if parent is None:
+            self.states, self.agents = m.states, m.agents
+            self.pos = pos = {s: i for i, s in enumerate(m.states)}
+            self.live = (1 << len(pos)) - 1
+            self._atoms = {p: sum(1 << pos[s] for s in xs if s in pos)
+                           for p, xs in m.valuation.items()}
+            # The relations, not the model: an index never keeps its model alive.
+            self._rels = (m.epist, m.plaus)
+        else:
+            self.states, self.agents, self.pos = parent.states, parent.agents, parent.pos
+            self._atoms, self._rels = parent._atoms, None
+            self.live = parent.live if upgrade else zone
+        self._parent, self._zone, self._upgrade = parent, zone, upgrade
+        self._memo: dict = {}   # rows, orders, shared orders, targets, groups
+        self._sets: dict = {}   # mask -> frozenset of names
+
+    def at(self, state: str) -> int:
+        """Position of a live state."""
+        i = self.pos.get(state)
+        if i is None or not self.live >> i & 1:
+            raise InputError(f"unknown state {state!r}")
+        return i
+
+    def mask(self, xs) -> int:
+        return sum(1 << i for i in {self.at(s) for s in xs})
+
+    def names(self, mask: int) -> frozenset:
+        """The state names of a mask, one shared frozenset per mask."""
+        got = self._sets.get(mask)
+        if got is None:
+            got = self._sets[mask] = frozenset(self.states[i] for i in bits(mask))
+        return got
+
+    def atom(self, p: str) -> int:
+        return self._atoms.get(p, 0) & self.live
+
+    def _pair_rows(self, rel) -> _Order:
+        pos = self.pos
+        below, above = [0] * len(pos), [0] * len(pos)
+        for x, y in rel:
+            if x in pos and y in pos:
+                above[pos[x]] |= 1 << pos[y]
+                below[pos[y]] |= 1 << pos[x]
+        return _Order(below, above)
+
+    def rows(self, agent: str) -> list:
+        got = self._memo.get(agent)
+        if got is None:
+            parent = self._parent
+            if parent is None:
+                if agent not in self.agents or agent not in self._rels[0]:
+                    raise InputError(f"unknown agent {agent!r}")
+                got = self._pair_rows(self._rels[0][agent]).above
+            else:
+                got = [r & self.live for r in parent.rows(agent)]
+            self._memo[agent] = got
+        return got
+
+    def order(self, agent: str, w: int) -> _Order:
+        got = self._memo.get((agent, w))
+        if got is not None:
+            return got
+        if self._parent is None:
+            rel = self._rels[1].get((agent, self.states[w]))
+            if rel is None or agent not in self.agents:
+                raise InputError(f"no plausibility order for ({agent!r}, "
+                                 f"{self.states[w]!r})")
+        else:
+            rel = self._parent.order(agent, w)
+        got = self._memo.get(rel)
+        if got is None:
+            live, win = self.live, self._zone
+            if self._parent is None:
+                got = self._pair_rows(rel)
+            elif not self._upgrade:
+                got = _Order([b & live for b in rel.below],
+                             [a & live for a in rel.above])
+            else:
+                # Every winner becomes strictly more plausible than every
+                # other live state; the order inside each zone stays.
+                got = _Order([b & win if win >> y & 1 else b | win
+                              for y, b in enumerate(rel.below)],
+                             [a & win | live & ~win if win >> x & 1 else a & ~win
+                              for x, a in enumerate(rel.above)])
+            self._memo[rel] = got
+        self._memo[(agent, w)] = got
+        return got
+
+    def announced(self, keep: int) -> "Index":
+        """The view keeping only the live states in keep (nonempty)."""
+        keep &= self.live
+        return self if keep == self.live else Index(None, self, keep)
+
+    def upgraded(self, winners: int) -> "Index":
+        """The view after radically upgrading the live states in winners."""
+        winners &= self.live
+        return self if winners in (0, self.live) else Index(None, self, winners, True)
+
+    def to_model(self) -> Model:
+        names, live = self.states, list(bits(self.live))
+
+        def pairs(rows):
+            return [(names[x], names[y]) for x in live for y in bits(rows[x])]
+
+        return Model([names[i] for i in live], self.agents,
+                     {a: pairs(self.rows(a)) for a in self.agents},
+                     {(a, names[w]): pairs(self.order(a, w).above)
+                      for a in self.agents for w in live},
+                     {p: self.names(x & self.live) for p, x in self._atoms.items()})
+
+    def targets(self, kind: str, agent: str) -> list:
+        """Per state w, the states the K, Bplus or Gt box at w looks at: the
+        class of w, its part at least as plausible as w, or its part
+        strictly more plausible than w."""
+        got = self._memo.get(("targets", kind, agent))
+        if got is None:
+            got = list(self.rows(agent))
+            if kind != "K":
+                for w in bits(self.live):
+                    o = self.order(agent, w)
+                    got[w] &= o.below[w] & (~o.above[w] if kind == "Gt" else -1)
+            self._memo[("targets", kind, agent)] = got
+        return got
+
+    def _grouped(self, key_of) -> list:
+        """(key, states) pairs grouping the live states by key_of(state)."""
+        out: dict = {}
+        for w in bits(self.live):
+            key = key_of(w)
+            out[key] = out.get(key, 0) | 1 << w
+        return list(out.items())
+
+    def groups(self, kind: str, agent: str) -> list:
+        """(target, states) pairs: live states grouped by :meth:`targets`."""
+        got = self._memo.get(("groups", kind, agent))
+        if got is None:
+            got = self._memo[("groups", kind, agent)] = self._grouped(
+                self.targets(kind, agent).__getitem__)
+        return got
+
+    def best(self, agent: str, cond: int) -> list:
+        """(most plausible cond-states of the class, states) pairs, for
+        conditional belief."""
+        classes = self._memo.get(("best", agent))
+        if classes is None:
+            rows = self.rows(agent)
+            classes = self._memo[("best", agent)] = self._grouped(
+                lambda w: (rows[w], self.order(agent, w)))
+        return [(self.least(o, cond & row), ws) for (row, o), ws in classes]
+
+    @staticmethod
+    def least(o: _Order, xs: int) -> int:
+        """The members of xs that no member of xs strictly beats under o."""
+        worse = 0
+        for y in bits(xs):
+            worse |= o.above[y] & ~o.below[y]
+        return xs & ~worse
+
+
+def box(groups: list, sub: int) -> int:
+    """The states whose target set lies inside sub, over (target, states)
+    pairs from :meth:`Index.groups` or :meth:`Index.best`."""
+    out = 0
+    for t, ws in groups:
+        if not t & ~sub:
+            out |= ws
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,25 +333,6 @@ class StrictOrders:
     eqv: dict
 
 
-def _require_agent(m: Model, agent: str) -> None:
-    if agent not in m.epist or agent not in m.agents:
-        raise InputError(f"unknown agent {agent!r}")
-
-
-def _require_state(m: Model, state: str) -> None:
-    if state not in m.states:
-        raise InputError(f"unknown state {state!r}")
-
-
-def _plaus_at(m: Model, agent: str, state: str) -> frozenset:
-    _require_agent(m, agent)
-    _require_state(m, state)
-    try:
-        return m.plaus[(agent, state)]
-    except KeyError:
-        raise InputError(f"no plausibility order for ({agent!r}, {state!r})") from None
-
-
 def validate(m: Model) -> list[str]:
     """Return every violated model invariant, with witnesses; [] means valid.
 
@@ -137,6 +341,7 @@ def validate(m: Model) -> list[str]:
     """
     problems: list[str] = []
     states = set(m.states)
+    ix = m.index
 
     if not m.states:
         problems.append("model has no states")
@@ -159,46 +364,20 @@ def validate(m: Model) -> list[str]:
         if a not in m.epist:
             problems.append(f"no epistemic relation for agent {a!r}")
             continue
-        rel = m.epist[a]
-        for x, y in sorted(rel):
-            for s in (x, y):
-                if s not in states:
-                    problems.append(f"epist[{a}] mentions unknown state {s!r}")
-        pairs = {p for p in rel if p[0] in states and p[1] in states}
-        for w in m.states:
-            if (w, w) not in pairs:
-                problems.append(f"epist[{a}] not reflexive at {w!r}")
-        for x, y in sorted(pairs):
-            if (y, x) not in pairs:
-                problems.append(f"epist[{a}] not symmetric: ({x!r}, {y!r})")
-        for x, y in sorted(pairs):
-            for y2, z in sorted(pairs):
-                if y == y2 and (x, z) not in pairs:
-                    problems.append(
-                        f"epist[{a}] not transitive: ({x!r}, {y!r}) and ({y!r}, {z!r})")
+        problems += _relation_problems(m.states, states, m.epist[a], ix.rows(a),
+                                       f"epist[{a}]", symmetric=True)
 
     for a, w in sorted(m.plaus):
         if a not in m.agents or w not in states:
             problems.append(f"plaus key ({a!r}, {w!r}) uses unknown agent or state")
     for a in m.agents:
-        for w in m.states:
+        for i, w in enumerate(m.states):
             if (a, w) not in m.plaus:
                 problems.append(f"no plausibility order for ({a!r}, {w!r})")
                 continue
-            rel = m.plaus[(a, w)]
-            for x, y in sorted(rel):
-                for s in (x, y):
-                    if s not in states:
-                        problems.append(f"plaus[{a},{w}] mentions unknown state {s!r}")
-            pairs = {p for p in rel if p[0] in states and p[1] in states}
-            for x in m.states:
-                if (x, x) not in pairs:
-                    problems.append(f"plaus[{a},{w}] not reflexive at {x!r}")
-            for x, y in sorted(pairs):
-                for y2, z in sorted(pairs):
-                    if y == y2 and (x, z) not in pairs:
-                        problems.append(
-                            f"plaus[{a},{w}] not transitive: ({x!r}, {y!r}) and ({y!r}, {z!r})")
+            problems += _relation_problems(m.states, states, m.plaus[(a, w)],
+                                           ix.order(a, i).above, f"plaus[{a},{w}]",
+                                           symmetric=False)
 
     for p in sorted(m.valuation):
         for s in sorted(m.valuation[p]):
@@ -208,11 +387,36 @@ def validate(m: Model) -> list[str]:
     return problems
 
 
+def _relation_problems(names: tuple, states: set, rel, rows: list, where: str,
+                       symmetric: bool) -> list[str]:
+    """Unknown states in rel, then the reflexivity, symmetry (if asked) and
+    transitivity of its known part, whose successor sets are ``rows``;
+    witnesses come in sorted pair order."""
+    out = []
+    if not states.issuperset(itertools.chain.from_iterable(rel)):
+        out += [f"{where} mentions unknown state {s!r}"
+                for pair in sorted(rel) for s in pair if s not in states]
+    out += [f"{where} not reflexive at {names[x]!r}"
+            for x, row in enumerate(rows) if not row >> x & 1]
+    if symmetric:
+        out += [f"{where} not symmetric: ({names[x]!r}, {names[y]!r})"
+                for x, row in enumerate(rows) for y in bits(row)
+                if not rows[y] >> x & 1]
+    for x, row in enumerate(rows):
+        reach = 0
+        for y in bits(row):
+            reach |= rows[y]
+        if reach & ~row:
+            out += [f"{where} not transitive: ({names[x]!r}, {names[y]!r}) "
+                    f"and ({names[y]!r}, {names[z]!r})"
+                    for y in bits(row) for z in bits(rows[y] & ~row)]
+    return out
+
+
 def eq_class(m: Model, agent: str, state: str) -> frozenset:
     """The epistemic equivalence class of ``state`` under agent ``agent``."""
-    _require_agent(m, agent)
-    _require_state(m, state)
-    return frozenset(v for w, v in m.epist[agent] if w == state)
+    ix = m.index
+    return ix.names(ix.rows(agent)[ix.at(state)])
 
 
 def min_set(m: Model, agent: str, state: str, xs: Iterable[str]) -> frozenset:
@@ -222,15 +426,9 @@ def min_set(m: Model, agent: str, state: str, xs: Iterable[str]) -> frozenset:
     plausible as x is matched back (x is at least as plausible as y).  On a
     finite model this is nonempty whenever xs is.
     """
-    rel = _plaus_at(m, agent, state)
-    xs = frozenset(xs)
-    for s in xs:
-        if s not in m.states:
-            raise InputError(f"unknown state {s!r}")
-    return frozenset(
-        x for x in xs
-        if all((x, y) in rel for y in xs if (y, x) in rel)
-    )
+    ix = m.index
+    order = ix.order(agent, ix.at(state))
+    return ix.names(ix.least(order, ix.mask(xs)))
 
 
 def strict(m: Model) -> StrictOrders:

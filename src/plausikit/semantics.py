@@ -1,123 +1,110 @@
 """Exact model checking of the full language on finite models.
 
-Truth sets are computed bottom-up with memoization of subformula results.
-Dynamic operators are evaluated by materializing the transformed model;
-transformed models are memoized per (model, formula) within one evaluation
-session.  Caches live inside an :class:`Evaluator` instance and are never
-shared between calls unless the caller shares the evaluator, so the module
-is safe under concurrent use of distinct evaluators.
+Truth sets are computed bottom-up as bitmasks over the model's
+:class:`~plausikit.model.Index`, which is built once per model and holds the
+epistemic classes and plausibility orders as masks.  Dynamic operators do
+not build models: an announcement is a view of the index with fewer live
+states and an upgrade is a view with re-ranked orders.  The masks of
+subformulas and the views are memoized within one evaluation session.
+Those caches live inside an :class:`Evaluator` instance and are never shared
+between calls unless the caller shares the evaluator; what the index itself
+memoizes depends on the model alone, so the module is safe under concurrent
+use of distinct evaluators.
 """
 
 from __future__ import annotations
 
-from .dynamics import announce_restrict, upgrade_promote
-from .errors import InputError
-from .model import Model, eq_class, min_set
+from .model import Index, Model, box
 from .syntax import (And, Announce, Atom, Bot, CondBelief, Formula, GtBox,
-                     Implies, Know, Not, Or, SafeBelief, Top, Upgrade)
+                     Implies, Know, Not, Or, SafeBelief, Top, Upgrade,
+                     children)
 
 __all__ = ["Evaluator", "holds", "truth_set", "is_valid_on"]
+
+_BOX_KIND = {Know: "K", SafeBelief: "Bplus", GtBox: "Gt"}
 
 
 class Evaluator:
     """Evaluation session with shared caches.
 
     Reusing one evaluator across many formulas on the same model lets common
-    subformulas and transformed models be computed once.
+    subformulas and transformed models be computed once.  Caches are keyed
+    on index objects, which they keep alive, never on object ids.
     """
 
     def __init__(self):
-        self._truth: dict = {}
-        self._announced: dict = {}
-        self._upgraded: dict = {}
+        self._truth: dict = {}      # (index, formula) -> truth mask
+        self._announced: dict = {}  # (index, kept states) -> view
+        self._upgraded: dict = {}   # (index, winners) -> view
 
     def truth_set(self, m: Model, f: Formula) -> frozenset:
-        key = (m, f)
-        cached = self._truth.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(m, f)
-        self._truth[key] = result
-        return result
+        ix = m.index
+        return ix.names(self.mask(ix, f))
 
-    def _compute(self, m: Model, f: Formula) -> frozenset:
-        all_states = frozenset(m.states)
-        if isinstance(f, Atom):
-            return m.atom_extension(f.name)
-        if isinstance(f, Top):
-            return all_states
-        if isinstance(f, Bot):
-            return frozenset()
-        if isinstance(f, Not):
-            return all_states - self.truth_set(m, f.sub)
-        if isinstance(f, And):
-            return self.truth_set(m, f.left) & self.truth_set(m, f.right)
-        if isinstance(f, Or):
-            return self.truth_set(m, f.left) | self.truth_set(m, f.right)
-        if isinstance(f, Implies):
-            return (all_states - self.truth_set(m, f.left)) | self.truth_set(m, f.right)
-        if isinstance(f, Know):
-            sub = self.truth_set(m, f.sub)
-            return frozenset(
-                w for w in m.states if eq_class(m, f.agent, w) <= sub)
-        if isinstance(f, SafeBelief):
-            sub = self.truth_set(m, f.sub)
-            out = []
-            for w in m.states:
-                cls = eq_class(m, f.agent, w)
-                rel = _order(m, f.agent, w)
-                if all(v in sub for v in cls if (v, w) in rel):
-                    out.append(w)
-            return frozenset(out)
-        if isinstance(f, GtBox):
-            sub = self.truth_set(m, f.sub)
-            out = []
-            for w in m.states:
-                cls = eq_class(m, f.agent, w)
-                rel = _order(m, f.agent, w)
-                strictly_below = (v for v in cls
-                                  if (v, w) in rel and (w, v) not in rel)
-                if all(v in sub for v in strictly_below):
-                    out.append(w)
-            return frozenset(out)
-        if isinstance(f, CondBelief):
-            cond = self.truth_set(m, f.cond)
-            sub = self.truth_set(m, f.sub)
-            out = []
-            for w in m.states:
-                best = min_set(m, f.agent, w, cond & eq_class(m, f.agent, w))
-                if best <= sub:
-                    out.append(w)
-            return frozenset(out)
-        if isinstance(f, Announce):
-            heard = self.truth_set(m, f.ann)
-            if not heard:
-                return all_states  # vacuously true where the precondition fails
-            key = (m, f.ann)
-            reduced = self._announced.get(key)
-            if reduced is None:
-                reduced = announce_restrict(m, heard)
-                self._announced[key] = reduced
-            after = self.truth_set(reduced, f.sub)
-            return (all_states - heard) | after
-        if isinstance(f, Upgrade):
-            winners = self.truth_set(m, f.up)
-            key = (m, f.up)
-            reshaped = self._upgraded.get(key)
-            if reshaped is None:
-                reshaped = upgrade_promote(m, winners)
-                self._upgraded[key] = reshaped
-            return self.truth_set(reshaped, f.sub)
-        raise TypeError(f"not a formula: {f!r}")
+    def mask(self, ix: Index, f: Formula) -> int:
+        """Truth mask of f on ix.  Evaluated with an explicit post-order
+        stack, so the depth of f is not bounded by Python's recursion."""
+        truth = self._truth
+        got = truth.get((ix, f))
+        if got is not None:
+            return got
+        todo = [(ix, f)]
+        while todo:
+            key = todo[-1]
+            if key in truth:
+                todo.pop()
+                continue
+            got = self._step(key[0], key[1], todo)
+            if got is not None:
+                truth[key] = got
+                todo.pop()
+        return truth[(ix, f)]
 
-
-def _order(m: Model, agent: str, state: str) -> frozenset:
-    if agent not in m.agents:
-        raise InputError(f"unknown agent {agent!r}")
-    try:
-        return m.plaus[(agent, state)]
-    except KeyError:
-        raise InputError(f"no plausibility order for ({agent!r}, {state!r})") from None
+    def _step(self, ix: Index, f: Formula, todo: list):
+        """The mask of f on ix, or None after queueing the results it needs
+        that are not known yet."""
+        truth = self._truth
+        kind = type(f)
+        if kind is Atom:
+            return ix.atom(f.name)
+        if kind is Top:
+            return ix.live
+        if kind is Bot:
+            return 0
+        if kind is Announce or kind is Upgrade:
+            pre = f.ann if kind is Announce else f.up
+            zone = truth.get((ix, pre))
+            if zone is None:
+                todo.append((ix, pre))
+                return None
+            if kind is Announce and not zone:
+                return ix.live  # vacuously true where the precondition fails
+            cache, make = ((self._announced, ix.announced) if kind is Announce
+                           else (self._upgraded, ix.upgraded))
+            view = cache.get((ix, zone))
+            if view is None:
+                view = cache[(ix, zone)] = make(zone)
+            after = truth.get((view, f.sub))
+            if after is None:
+                todo.append((view, f.sub))
+                return None
+            return (ix.live & ~zone) | after if kind is Announce else after
+        kids = children(f)
+        parts = [truth.get((ix, k)) for k in kids]
+        if None in parts:
+            todo.extend((ix, k) for k, got in zip(kids, parts) if got is None)
+            return None
+        if kind is Not:
+            return ix.live & ~parts[0]
+        if kind is And:
+            return parts[0] & parts[1]
+        if kind is Or:
+            return parts[0] | parts[1]
+        if kind is Implies:
+            return (ix.live & ~parts[0]) | parts[1]
+        if kind is CondBelief:
+            return box(ix.best(f.agent, parts[0]), parts[1])
+        return box(ix.groups(_BOX_KIND[kind], f.agent), parts[0])
 
 
 def truth_set(m: Model, f: Formula) -> frozenset:
@@ -127,16 +114,16 @@ def truth_set(m: Model, f: Formula) -> frozenset:
 
 def holds(m: Model, state: str, f: Formula) -> bool:
     """Truth of f at a single state."""
-    if state not in m.states:
-        raise InputError(f"unknown state {state!r}")
-    return state in truth_set(m, f)
+    ix = m.index
+    i = ix.at(state)
+    return bool(Evaluator().mask(ix, f) >> i & 1)
 
 
 def is_valid_on(m: Model, f: Formula):
     """(True, None) when f holds at every state of m, else (False, w) with
     the least falsifying state."""
-    sat = truth_set(m, f)
-    for w in m.states:
-        if w not in sat:
-            return False, w
-    return True, None
+    ix = m.index
+    bad = ix.live & ~Evaluator().mask(ix, f)
+    if not bad:
+        return True, None
+    return False, ix.states[(bad & -bad).bit_length() - 1]

@@ -25,7 +25,7 @@ readable.  ``true``/``false`` are keywords.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -40,82 +40,106 @@ __all__ = [
 
 
 class Formula:
-    """Base class for all formula nodes."""
+    """Base class for all formula nodes.
+
+    A node's hash is computed once, when it is built, from its class name and
+    its fields; a child's hash is cached in turn, so hashing never recurses
+    however deep the formula.  Equality stays structural.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self).__name__,
+                                                *vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node that keeps the cached hash of Formula.  Its
+    subformula fields are ``_parts``; the others, which come first, are
+    ``_labels``."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    names = [(f.name, f.type == "Formula") for f in fields(cls)]
+    cls._parts = tuple(name for name, sub in names if sub)
+    cls._labels = tuple(name for name, sub in names if not sub)
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Know(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class CondBelief(Formula):
     agent: str
     cond: Formula
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class SafeBelief(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class GtBox(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Announce(Formula):
     ann: Formula
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Upgrade(Formula):
     up: Formula
     sub: Formula
@@ -142,48 +166,16 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Immediate subformulas, in a fixed left-to-right order."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return ()
-    if isinstance(f, Not):
-        return (f.sub,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, (Know, SafeBelief, GtBox)):
-        return (f.sub,)
-    if isinstance(f, CondBelief):
-        return (f.cond, f.sub)
-    if isinstance(f, Announce):
-        return (f.ann, f.sub)
-    if isinstance(f, Upgrade):
-        return (f.up, f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return tuple([getattr(f, name) for name in f._parts])
 
 
 def rebuild(f: Formula, parts: tuple[Formula, ...]) -> Formula:
     """Rebuild a node of the same kind around new subformulas."""
-    if isinstance(f, (Atom, Top, Bot)):
+    if not children(f):
         return f
-    if isinstance(f, Not):
-        return Not(*parts)
-    if isinstance(f, And):
-        return And(*parts)
-    if isinstance(f, Or):
-        return Or(*parts)
-    if isinstance(f, Implies):
-        return Implies(*parts)
-    if isinstance(f, Know):
-        return Know(f.agent, *parts)
-    if isinstance(f, SafeBelief):
-        return SafeBelief(f.agent, *parts)
-    if isinstance(f, GtBox):
-        return GtBox(f.agent, *parts)
-    if isinstance(f, CondBelief):
-        return CondBelief(f.agent, *parts)
-    if isinstance(f, Announce):
-        return Announce(*parts)
-    if isinstance(f, Upgrade):
-        return Upgrade(*parts)
-    raise TypeError(f"not a formula: {f!r}")
+    return type(f)(*[getattr(f, name) for name in f._labels], *parts)
 
 
 def formula_depth(f: Formula) -> int:

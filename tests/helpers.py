@@ -4,16 +4,22 @@ and hypothesis strategies.
 The reference evaluator is deliberately naive: straight per-state recursion,
 no memoization, no truth-set computation, with its own copies of the model
 transformations written as comprehensions.  It exists to disagree with the
-production evaluator if either is wrong.
+production evaluator if either is wrong.  ``ref_validate`` plays the same
+part for ``validate``.
 """
 
 from __future__ import annotations
+
+import re
 
 from hypothesis import strategies as st
 
 from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
                        Implies, Know, Model, Not, Or, SafeBelief, Top,
                        Upgrade)
+
+
+_REF_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 def ref_holds(m: Model, w: str, f) -> bool:
@@ -60,6 +66,82 @@ def ref_holds(m: Model, w: str, f) -> bool:
     if isinstance(f, Upgrade):
         return ref_holds(ref_upgrade(m, f.up), w, f.sub)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def ref_validate(m: Model) -> list[str]:
+    """The pair-scanning form of ``validate``, kept as its oracle: the same
+    problems, with the same witnesses, in the same order."""
+    problems: list[str] = []
+    states = set(m.states)
+
+    if not m.states:
+        problems.append("model has no states")
+    if not m.agents:
+        problems.append("model has no agents")
+    for s in m.states:
+        if not _REF_IDENT.match(s):
+            problems.append(f"bad state identifier {s!r}")
+    for a in m.agents:
+        if not _REF_IDENT.match(a):
+            problems.append(f"bad agent identifier {a!r}")
+    for p in m.valuation:
+        if not _REF_IDENT.match(p):
+            problems.append(f"bad atom identifier {p!r}")
+
+    for a in sorted(m.epist):
+        if a not in m.agents:
+            problems.append(f"epist mentions undeclared agent {a!r}")
+    for a in m.agents:
+        if a not in m.epist:
+            problems.append(f"no epistemic relation for agent {a!r}")
+            continue
+        rel = m.epist[a]
+        for x, y in sorted(rel):
+            for s in (x, y):
+                if s not in states:
+                    problems.append(f"epist[{a}] mentions unknown state {s!r}")
+        pairs = {p for p in rel if p[0] in states and p[1] in states}
+        for w in m.states:
+            if (w, w) not in pairs:
+                problems.append(f"epist[{a}] not reflexive at {w!r}")
+        for x, y in sorted(pairs):
+            if (y, x) not in pairs:
+                problems.append(f"epist[{a}] not symmetric: ({x!r}, {y!r})")
+        for x, y in sorted(pairs):
+            for y2, z in sorted(pairs):
+                if y == y2 and (x, z) not in pairs:
+                    problems.append(
+                        f"epist[{a}] not transitive: ({x!r}, {y!r}) and ({y!r}, {z!r})")
+
+    for a, w in sorted(m.plaus):
+        if a not in m.agents or w not in states:
+            problems.append(f"plaus key ({a!r}, {w!r}) uses unknown agent or state")
+    for a in m.agents:
+        for w in m.states:
+            if (a, w) not in m.plaus:
+                problems.append(f"no plausibility order for ({a!r}, {w!r})")
+                continue
+            rel = m.plaus[(a, w)]
+            for x, y in sorted(rel):
+                for s in (x, y):
+                    if s not in states:
+                        problems.append(f"plaus[{a},{w}] mentions unknown state {s!r}")
+            pairs = {p for p in rel if p[0] in states and p[1] in states}
+            for x in m.states:
+                if (x, x) not in pairs:
+                    problems.append(f"plaus[{a},{w}] not reflexive at {x!r}")
+            for x, y in sorted(pairs):
+                for y2, z in sorted(pairs):
+                    if y == y2 and (x, z) not in pairs:
+                        problems.append(
+                            f"plaus[{a},{w}] not transitive: ({x!r}, {y!r}) and ({y!r}, {z!r})")
+
+    for p in sorted(m.valuation):
+        for s in sorted(m.valuation[p]):
+            if s not in states:
+                problems.append(f"valuation[{p}] mentions unknown state {s!r}")
+
+    return problems
 
 
 def ref_announce(m: Model, ann) -> Model:
@@ -110,8 +192,8 @@ TOTAL2 = {("v", "v"), ("w", "w"), ("v", "w"), ("w", "v")}
 # Hypothesis strategies
 
 @st.composite
-def models(draw, max_states=4, max_agents=2, max_atoms=2):
-    n = draw(st.integers(1, max_states))
+def models(draw, max_states=4, max_agents=2, max_atoms=2, min_states=1):
+    n = draw(st.integers(min_states, max_states))
     states = [f"w{i}" for i in range(n)]
     agents = ["a", "b"][: draw(st.integers(1, max_agents))]
     ranks = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
@@ -133,6 +215,28 @@ def models(draw, max_states=4, max_agents=2, max_atoms=2):
         valuation["pq"[k] if k < 2 else f"p{k}"] = draw(
             st.sets(st.sampled_from(states)))
     return Model(states, agents, epist, plaus, valuation)
+
+
+@st.composite
+def broken_models(draw):
+    """A generated model with pairs dropped from and added to its relations,
+    some naming a state the model lacks, an order dropped, and stray keys."""
+    m = draw(models())
+    names = list(m.states) + ["zz"]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    epist = {a: set(rel) for a, rel in m.epist.items()}
+    plaus = {key: set(rel) for key, rel in m.plaus.items()}
+    for rel in [*epist.values(), *plaus.values()]:
+        rel -= set(draw(st.lists(st.sampled_from(sorted(rel)), max_size=2)))
+        rel |= set(draw(st.lists(pair, max_size=2)))
+    for key in draw(st.lists(st.sampled_from(sorted(plaus)), max_size=1)):
+        del plaus[key]
+    if draw(st.booleans()):
+        epist["c"] = {("zz", "zz")}
+        plaus[("a", "zz")] = {("zz", "zz")}
+    valuation = {p: set(xs) | set(draw(st.lists(st.just("zz"), max_size=1)))
+                 for p, xs in m.valuation.items()}
+    return Model(m.states, m.agents, epist, plaus, valuation)
 
 
 @st.composite

@@ -51,6 +51,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", "no-such.json", "w", "p")
         assert code == 2
 
+    def test_deep_negation_gets_its_verdict(self, corpus_files, capsys):
+        left, _, _ = corpus_files["thm15"]
+        m = load_model(left)
+        for w in m.states:
+            want = w in m.atom_extension("p")
+            code, out, err = run(capsys, "check", left, w, "~" * 600 + "p")
+            assert (code, out, err) == ((0, "true\n", "") if want
+                                        else (1, "false\n", ""))
+
+    def test_formula_too_deep_to_parse_exits_2(self, capsys):
+        code, out, err = run(capsys, "rewrite", "~" * 3000 + "p")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestValidity:
     def test_valid(self, corpus_files, capsys):

@@ -7,10 +7,11 @@ from plausikit import (InputError, Model, eq_class, identity_pairs,
                        is_image_finite, is_locally_connected, is_uniform,
                        connectedness_counterexample, load_model,
                        min_set, model_from_json, model_to_dict, model_to_json,
-                       save_model, strict, total_pairs,
+                       parse, save_model, strict, total_pairs, truth_set,
                        uniformity_counterexample, validate)
 
-from helpers import DISCRETE2, TOTAL2, models, two_state
+from helpers import (DISCRETE2, TOTAL2, broken_models, models, ref_validate,
+                     two_state)
 
 
 def one_state(epist=None, plaus=None):
@@ -57,6 +58,62 @@ class TestValidate:
         m = Model(["w w"], ["a"], {"a": {("w w", "w w")}},
                   {("a", "w w"): {("w w", "w w")}}, {})
         assert any("bad state identifier" in p for p in validate(m))
+
+
+class TestValidateAgainstPairScan:
+    """validate reads index masks; ref_validate scans pairs.  They must give
+    the same problems in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(models())
+    def test_generated_models(self, m):
+        assert validate(m) == ref_validate(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(broken_models())
+    def test_broken_models(self, m):
+        assert validate(m) == ref_validate(m)
+
+    def test_each_broken_law(self):
+        states = ["u", "v", "w"]
+        ident = identity_pairs(states)
+        chain = ident | {("u", "v"), ("v", "w")}
+        for epist, plaus in [
+                (ident - {("v", "v")}, ident - {("w", "w")}),   # reflexivity
+                (ident | {("u", "w")}, ident),                    # symmetry
+                (chain | {("v", "u"), ("w", "v")}, chain),        # transitivity
+                (ident | {("u", "x"), ("x", "x")}, ident | {("y", "w")}),
+        ]:
+            m = Model(states, ["a"], {"a": epist},
+                      {("a", s): plaus for s in states}, {"p": {"u", "x"}})
+            assert validate(m) == ref_validate(m)
+            assert validate(m)
+
+
+class TestImmutability:
+    def test_mappings_and_attributes_are_read_only(self):
+        m = two_state(TOTAL2, DISCRETE2 | {("v", "w")}, atoms={"p": {"v"}})
+        f = parse("K[a] B[a | true] p & Gt[a] p")
+        before = truth_set(m, f)
+        with pytest.raises(TypeError):
+            m.epist["a"] = identity_pairs(m.states)
+        with pytest.raises(TypeError):
+            m.plaus[("a", "w")] = TOTAL2
+        with pytest.raises(TypeError):
+            m.valuation["p"] = frozenset(m.states)
+        with pytest.raises(AttributeError):
+            m.epist = {}
+        assert truth_set(m, f) == before
+
+    def test_index_dies_with_its_model(self):
+        import gc
+        import weakref
+        m = two_state(TOTAL2, TOTAL2, atoms={"p": {"w"}})
+        truth_set(m, parse("[up p] B[a | true] p"))
+        ref = weakref.ref(m.index)
+        del m
+        gc.collect()
+        assert ref() is None
 
 
 class TestEqClass:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plausikit import (Evaluator, InputError, Model, eq_class, holds,
                        identity_pairs, is_valid_on, min_set, parse, total_pairs,
@@ -135,3 +136,43 @@ def test_transformed_models_are_memoized_per_announced_formula():
     ev.truth_set(m, And(Announce(parse("p"), parse("q")),
                         Announce(parse("p"), parse("~q"))))
     assert len(ev._announced) == 1
+
+
+def test_one_evaluator_over_many_short_lived_models():
+    # Models are built and dropped one after another, so a cache keyed on
+    # object ids would hand a new model the truth sets of a dead one.
+    import random
+    from plausikit import Fragment, GenSpec, generate, random_formula
+    rng = random.Random(7)
+    ev = Evaluator()
+    frag = Fragment.of("K", "Bc", "Bplus", "Gt", "Ann", "Up")
+    f = parse("B[a | p] q & [! p] Gt[a] q")
+    for k in range(200):
+        m = generate(GenSpec(2, 5, 1, 2, seed=k))
+        g = random_formula(rng, sorted(m.valuation), m.agents, frag, 3)
+        for h in (f, g):
+            sat = ev.truth_set(m, h)
+            assert all((w in sat) == ref_holds(m, w, h) for w in m.states)
+        del m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nested_dynamics_on_larger_models(data):
+    from plausikit import Announce, CondBelief, Fragment, GtBox, Upgrade
+    from helpers import formulas
+    m = data.draw(models(min_states=5, max_states=8, max_atoms=2))
+    atoms = sorted(m.valuation) or ["p"]
+    small = formulas(atoms=atoms, agents=m.agents, fragment=Fragment.of("K"),
+                     max_depth=1)
+    agent = st.sampled_from(m.agents)
+    body = st.one_of(st.builds(CondBelief, agent, small, small),
+                     st.builds(GtBox, agent, small))
+    dynamic = st.sampled_from([Announce, Upgrade])
+    f = data.draw(body)
+    for make, pre in data.draw(st.lists(st.tuples(dynamic, small),
+                                        min_size=1, max_size=3)):
+        f = make(pre, f)
+    sat = truth_set(m, f)
+    for w in m.states:
+        assert (w in sat) == ref_holds(m, w, f)
