@@ -516,10 +516,10 @@ def _check_pairs(raw, where: str) -> list[tuple[str, str]]:
         raise InputError(f"{where}: expected a list of pairs")
     out = []
     for item in raw:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(s, str) for s in item)):
+        x, y = item if isinstance(item, list) and len(item) == 2 else (None, None)
+        if not (isinstance(x, str) and isinstance(y, str)):
             raise InputError(f"{where}: malformed pair {item!r}")
-        out.append((item[0], item[1]))
+        out.append((x, y))
     return out
 
 

@@ -1,9 +1,13 @@
 """Rewriting dynamic formulas into static ones, and eliminating conditional
 belief on suitably constrained models.
 
-``reduce_dynamic`` repeatedly contracts the innermost-leftmost dynamic
-operator whose whole subtree is otherwise dynamic-free, using one valid
-biconditional per operand shape, until no announcement or upgrade remains.
+``reduce_dynamic`` contracts the innermost-leftmost dynamic operator whose
+whole subtree is otherwise dynamic-free, using one valid biconditional per
+operand shape, until no announcement or upgrade remains.  One post-order pass
+does it: a node's children are normalised left to right, then a dynamic node
+is contracted and its result normalised in place.  A subtree that holds a
+dynamic node holds a redex, so this is the order in which a search for the
+first redex in preorder, repeated after each step, would contract them.
 Each contraction is recorded so the whole run can be replayed and audited.
 
 Termination measure (strictly decreased by every contraction): the pair
@@ -23,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .syntax import (And, Announce, Atom, Bot, CondBelief, Formula, GtBox,
-                     Implies, Know, Not, Or, SafeBelief, Top, Upgrade,
-                     children, format_formula, formula_size, fragment_of,
-                     gt_dia, khat, rebuild)
+from .syntax import (_BINARY, _DYNAMIC, And, Announce, Atom, Bot, CondBelief,
+                     Formula, GtBox, Implies, Know, Not, Or, SafeBelief, Top,
+                     Upgrade, children, format_formula, formula_size,
+                     fragment_of, gt_dia, khat, rebuild)
 
 __all__ = [
     "RewriteStep", "RewriteTrace", "reduce_dynamic", "replay",
@@ -88,11 +92,6 @@ def replay(f: Formula, trace: RewriteTrace) -> Formula:
     return f
 
 
-def _dynamic_count(f: Formula) -> int:
-    own = 1 if isinstance(f, (Announce, Upgrade)) else 0
-    return own + sum(_dynamic_count(k) for k in children(f))
-
-
 def rewrite_measure(f: Formula):
     """The documented termination measure; see the module docstring."""
     blocked = 0
@@ -100,7 +99,7 @@ def rewrite_measure(f: Formula):
 
     def walk(g: Formula) -> int:
         inner = sum(walk(k) for k in children(g))
-        if isinstance(g, (Announce, Upgrade)):
+        if isinstance(g, _DYNAMIC):
             if inner:
                 nonlocal blocked
                 blocked += 1
@@ -113,18 +112,6 @@ def rewrite_measure(f: Formula):
     return (blocked, tuple(sorted(open_sizes, reverse=True)))
 
 
-def _find_redex(f: Formula, path: tuple = ()):
-    """First dynamic node in preorder whose subtree contains no other
-    dynamic node."""
-    if isinstance(f, (Announce, Upgrade)) and _dynamic_count(f) == 1:
-        return path
-    for i, kid in enumerate(children(f)):
-        hit = _find_redex(kid, path + (i,))
-        if hit is not None:
-            return hit
-    return None
-
-
 def _contract(red: Formula):
     """One-step elimination of a dynamic-free redex; returns (rule, result)."""
     if isinstance(red, Announce):
@@ -134,12 +121,9 @@ def _contract(red: Formula):
             return "ann-atom", Implies(phi, body)
         if isinstance(body, Not):
             return "ann-not", Implies(phi, Not(wrap(body.sub)))
-        if isinstance(body, And):
-            return "ann-and", And(wrap(body.left), wrap(body.right))
-        if isinstance(body, Or):
-            return "ann-or", Or(wrap(body.left), wrap(body.right))
-        if isinstance(body, Implies):
-            return "ann-implies", Implies(wrap(body.left), wrap(body.right))
+        if isinstance(body, _BINARY):
+            return (f"ann-{type(body).__name__.lower()}",
+                    type(body)(wrap(body.left), wrap(body.right)))
         if isinstance(body, Know):
             return "ann-know", Implies(phi, Know(body.agent, wrap(body.sub)))
         if isinstance(body, CondBelief):
@@ -158,12 +142,9 @@ def _contract(red: Formula):
             return "up-atom", body
         if isinstance(body, Not):
             return "up-not", Not(wrap(body.sub))
-        if isinstance(body, And):
-            return "up-and", And(wrap(body.left), wrap(body.right))
-        if isinstance(body, Or):
-            return "up-or", Or(wrap(body.left), wrap(body.right))
-        if isinstance(body, Implies):
-            return "up-implies", Implies(wrap(body.left), wrap(body.right))
+        if isinstance(body, _BINARY):
+            return (f"up-{type(body).__name__.lower()}",
+                    type(body)(wrap(body.left), wrap(body.right)))
         if isinstance(body, Know):
             return "up-know", Know(body.agent, wrap(body.sub))
         if isinstance(body, CondBelief):
@@ -198,18 +179,34 @@ def reduce_dynamic(f: Formula):
 
     Returns (static formula, trace).  The result is equivalent to the input
     on every model; the property suite checks this rather than assuming it.
+    The pass keeps an explicit stack, so the depth of f is not bounded by
+    Python's recursion.
     """
     steps = []
-    g = f
+    static = {}  # id -> node known to be static; the values keep ids in use
+    stack = [(f, (), [])]  # node, its path, normal forms of its first kids
     while True:
-        path = _find_redex(g)
-        if path is None:
-            break
-        red = subterm_at(g, path)
-        rule, out = _contract(red)
-        steps.append(RewriteStep(path, rule, red, out))
-        g = replace_at(g, path, out)
-    return g, RewriteTrace(tuple(steps))
+        g, path, kids = stack[-1]
+        parts = g._parts
+        if len(kids) < len(parts):
+            kid = getattr(g, parts[len(kids)])
+            if id(kid) in static:
+                kids.append(kid)
+            else:
+                stack.append((kid, path + (len(kids),), []))
+            continue
+        stack.pop()
+        if any(new is not getattr(g, name) for new, name in zip(kids, parts)):
+            g = rebuild(g, tuple(kids))
+        if isinstance(g, _DYNAMIC):
+            rule, out = _contract(g)
+            steps.append(RewriteStep(path, rule, g, out))
+            stack.append((out, path, []))
+            continue
+        static[id(g)] = g
+        if not stack:
+            return g, RewriteTrace(tuple(steps))
+        stack[-1][2].append(g)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +229,7 @@ def _tg(f: Formula) -> Formula:
         cond = _tg(f.cond)
         body = _tg(f.sub)
         return Know(f.agent, Implies(And(cond, Not(gt_dia(f.agent, cond))), body))
-    kids = children(f)
-    if not kids:
-        return f
-    return rebuild(f, tuple(_tg(k) for k in kids))
+    return rebuild(f, tuple(_tg(k) for k in children(f)))
 
 
 def translate_safe(f: Formula) -> Formula:
@@ -257,7 +251,4 @@ def _ts(f: Formula) -> Formula:
         return Implies(
             khat(i, cond),
             khat(i, And(cond, SafeBelief(i, Implies(cond, body)))))
-    kids = children(f)
-    if not kids:
-        return f
-    return rebuild(f, tuple(_ts(k) for k in kids))
+    return rebuild(f, tuple(_ts(k) for k in children(f)))

@@ -44,29 +44,53 @@ class Formula:
 
     A node's hash is computed once, when it is built, from its class name and
     its fields; a child's hash is cached in turn, so hashing never recurses
-    however deep the formula.  Equality stays structural.
+    however deep the formula.  Equality is structural and walks the two
+    formulas through a work list, so it does not recurse either.
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self).__name__,
-                                                *vars(self).values())))
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        for a, b in todo:
+            if a is not b:
+                da, db = a.__dict__, b.__dict__
+                if da["_hash"] != db["_hash"] or type(a) is not type(b):
+                    return False
+                for name in a._labels:
+                    if da[name] != db[name]:
+                        return False
+                for name in a._parts:
+                    todo.append((da[name], db[name]))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Unpickling calls __init__, so the hash is the loading process's own.
+        return type(self), tuple(getattr(self, name)
+                                 for name in self._labels + self._parts)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
 def _node(cls):
-    """A frozen dataclass node that keeps the cached hash of Formula.  Its
-    subformula fields are ``_parts``; the others, which come first, are
-    ``_labels``."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
+    """A frozen dataclass node with the structural equality and cached hash
+    of Formula.  Its generated ``__init__`` writes the fields and ``_hash``
+    straight into ``__dict__``.  Its subformula fields are ``_parts``; the
+    others, which come first, are ``_labels``."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
     names = [(f.name, f.type == "Formula") for f in fields(cls)]
     cls._parts = tuple(name for name, sub in names if sub)
     cls._labels = tuple(name for name, sub in names if not sub)
+    args = "".join(f"{name}, " for name, _ in names)
+    scope = {}
+    exec(f"def __init__(self, {args}):\n    d = self.__dict__\n"
+         + "".join(f"    d[{name!r}] = {name}\n" for name, _ in names)
+         + f"    d['_hash'] = hash(({cls.__name__!r}, {args}))\n", scope)
+    cls.__init__ = scope["__init__"]
     return cls
 
 

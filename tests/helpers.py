@@ -5,7 +5,7 @@ The reference evaluator is deliberately naive: straight per-state recursion,
 no memoization, no truth-set computation, with its own copies of the model
 transformations written as comprehensions.  It exists to disagree with the
 production evaluator if either is wrong.  ``ref_validate`` plays the same
-part for ``validate``.
+part for ``validate``, and ``ref_reduce_dynamic`` for ``reduce_dynamic``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import re
 from hypothesis import strategies as st
 
 from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
-                       Implies, Know, Model, Not, Or, SafeBelief, Top,
-                       Upgrade)
+                       Implies, Know, Model, Not, Or, RewriteStep,
+                       RewriteTrace, SafeBelief, Top, Upgrade)
+from plausikit.rewrite import _contract, replace_at, subterm_at
+from plausikit.syntax import children
 
 
 _REF_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -142,6 +144,40 @@ def ref_validate(m: Model) -> list[str]:
                 problems.append(f"valuation[{p}] mentions unknown state {s!r}")
 
     return problems
+
+
+def _dynamic_count(f) -> int:
+    own = 1 if isinstance(f, (Announce, Upgrade)) else 0
+    return own + sum(_dynamic_count(k) for k in children(f))
+
+
+def _find_redex(f, path: tuple = ()):
+    """First dynamic node in preorder whose subtree contains no other
+    dynamic node."""
+    if isinstance(f, (Announce, Upgrade)) and _dynamic_count(f) == 1:
+        return path
+    for i, kid in enumerate(children(f)):
+        hit = _find_redex(kid, path + (i,))
+        if hit is not None:
+            return hit
+    return None
+
+
+def ref_reduce_dynamic(f):
+    """The stepwise form of ``reduce_dynamic``, kept as its oracle: search
+    the whole formula for the innermost-leftmost redex, contract it, and
+    start again, until none is left."""
+    steps = []
+    g = f
+    while True:
+        path = _find_redex(g)
+        if path is None:
+            break
+        red = subterm_at(g, path)
+        rule, out = _contract(red)
+        steps.append(RewriteStep(path, rule, red, out))
+        g = replace_at(g, path, out)
+    return g, RewriteTrace(tuple(steps))
 
 
 def ref_announce(m: Model, ann) -> Model:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plausikit import load_corpus, load_model, model_to_json, relation_to_dict
 from plausikit.cli import main
@@ -277,3 +279,55 @@ def test_resource_cap_exits_3(corpus_files, capsys, monkeypatch):
                        "--fragment", "K,Bc", "--relation", z)
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[up p] [up q] [up r] B[a | q] r",
+    "[up q] [up p] [up q] [up r] [up p] B[b | p] r",
+    "[up p] [! q] [up r] [! p] Gt[a] r",
+    "[! [up p] K[a] q] (Bplus[b] r | ~[! r] p)",
+    "K[a](p -> B[a | q] r)",
+])
+def test_rewrite_trace_matches_the_stepwise_oracle(capsys, text):
+    from helpers import ref_reduce_dynamic
+    from plausikit import format_formula, parse
+    out, trace = ref_reduce_dynamic(parse(text))
+    want = [format_formula(out)] + [f"step {k + 1}: {step}"
+                                    for k, step in enumerate(trace)]
+    code, got, err = run(capsys, "rewrite", text, "--trace")
+    assert (code, got, err) == (0, "".join(f"{line}\n" for line in want), "")
+
+
+def _formula_texts():
+    from plausikit import format_formula
+    from helpers import formulas
+    printed = formulas(max_depth=3).map(format_formula)
+    # Long chains of operators that do not copy their operand when a
+    # dynamic operator is pushed through them, so the output stays linear.
+    deep = st.builds(
+        lambda ops, leaf: "".join(ops) + leaf,
+        st.lists(st.sampled_from(["~", "K[a] ", "[up p] ", "~[up q] "]),
+                 max_size=2500),
+        st.sampled_from(["p", "[! q] r", "Khat[b] q", "(p | [up q] q)"]))
+    parens = st.integers(0, 2500).map(lambda n: "(" * n + "p" + ")" * n)
+    garbled = st.tuples(printed, st.integers(0, 200), st.sampled_from(
+        ["", "(", ")", "[", "]", "!", "|", "->", "K[", "B[a |", "@"])).map(
+            lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+    return st.one_of(printed, deep, parens, garbled,
+                     st.text("pq~&|()[]!->KBa ", max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_formula_texts(), verb=st.sampled_from(
+    [("rewrite",), ("rewrite", "--trace"), ("translate", "gt"),
+     ("translate", "safe")]))
+def test_rewrite_and_translate_never_raise(text, verb):
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*verb, "--", text])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

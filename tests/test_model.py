@@ -385,3 +385,24 @@ def test_malformed_documents_rejected():
             "states": ["w"], "agents": ["a"],
             "epist": {"a": [["w"]]}, "plaus": {"a": {"w": []}},
             "valuation": {}}))
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    ([["w", "w", "w"]], ["w", "w", "w"]),
+    ([["w", 1]], ["w", 1]),
+    ([[None, "w"]], [None, "w"]),
+    ([["w", "w"], "ww", ["w", "w"]], "ww"),
+    ([["w", "w"], ["w"], ["w", "w"]], ["w"]),
+    ([["w", "w"], {"w": "w"}], {"w": "w"}),
+])
+def test_malformed_pair_reported_with_its_place(pairs, bad):
+    doc = {"states": ["w"], "agents": ["a"],
+           "epist": {"a": pairs}, "plaus": {"a": {"w": [["w", "w"]]}},
+           "valuation": {}}
+    with pytest.raises(InputError) as err:
+        model_from_json(json.dumps(doc))
+    assert str(err.value) == f"epist[a]: malformed pair {bad!r}"
+    doc["epist"]["a"], doc["plaus"]["a"]["w"] = [["w", "w"]], pairs
+    with pytest.raises(InputError) as err:
+        model_from_json(json.dumps(doc))
+    assert str(err.value) == f"plaus[a][w]: malformed pair {bad!r}"

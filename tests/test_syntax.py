@@ -180,3 +180,66 @@ class TestEnumerate:
     def test_negative_depth_rejected(self):
         with pytest.raises(InputError):
             list(enumerate_formulas(["p"], ["a"], Fragment.of(), -1))
+
+
+class TestNodes:
+    SAMPLES = [Atom("p"), Top(), Bot(), Not(Atom("p")),
+               And(Atom("p"), Top()), Or(Bot(), Atom("q")),
+               Implies(Atom("p"), Atom("q")), Know("a", Atom("p")),
+               CondBelief("b", Atom("p"), Atom("q")),
+               SafeBelief("a", Top()), GtBox("b", Bot()),
+               Announce(Atom("p"), Atom("q")), Upgrade(Atom("q"), Atom("p"))]
+
+    @pytest.mark.parametrize("f", SAMPLES, ids=lambda f: type(f).__name__)
+    def test_hash_is_class_name_and_fields(self, f):
+        from dataclasses import fields
+        values = [getattr(f, field.name) for field in fields(f)]
+        assert hash(f) == hash((type(f).__name__, *values))
+        assert hash(type(f)(*values)) == hash(f)
+
+    def test_keyword_construction(self):
+        assert And(left=Atom("p"), right=Top()) == And(Atom("p"), Top())
+        assert CondBelief(agent="a", cond=Top(), sub=Atom(name="q")) == \
+            CondBelief("a", Top(), Atom("q"))
+        with pytest.raises(TypeError):
+            Not()
+
+    def test_fields_cannot_be_assigned(self):
+        from dataclasses import FrozenInstanceError
+        f = Know("a", Atom("p"))
+        with pytest.raises(FrozenInstanceError):
+            f.agent = "b"
+        with pytest.raises(FrozenInstanceError):
+            f.sub = Top()
+        with pytest.raises(FrozenInstanceError):
+            del f.sub
+        assert f == Know("a", Atom("p"))
+
+    def test_equality_of_deep_formulas(self):
+        def chain(leaf, n=5000):
+            f = leaf
+            for k in range(n):
+                f = Not(f) if k % 2 else Know("a", f)
+            return f
+        assert chain(Atom("p")) == chain(Atom("p"))
+        assert chain(Atom("p")) != chain(Atom("q"))
+        assert Know("a", Atom("p")) != Know("b", Atom("p"))
+        assert Atom("p") != "p" and Top() != Bot()
+
+    def test_unpickled_in_another_process_hashes_afresh(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+        text = "[! K[a] p] B[b | q] (p -> ~q)"
+        code = ("import pickle, sys\n"
+                "from plausikit import parse\n"
+                "g = pickle.load(sys.stdin.buffer)\n"
+                f"f = parse({text!r})\n"
+                "print(g == f, hash(g) == hash(f), g in {f})\n")
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              input=pickle.dumps(parse(text)),
+                              capture_output=True, timeout=60)
+        assert done.stdout.decode().split() == ["True"] * 3
