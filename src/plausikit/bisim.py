@@ -127,6 +127,8 @@ def relation_to_dict(rel: Relation, left_ref: str = "", right_ref: str = "") -> 
 def relation_from_dict(doc: dict, left: Model, right: Model) -> Relation:
     if not isinstance(doc, dict) or "pairs" not in doc:
         raise InputError("relation document must be an object with a 'pairs' key")
+    if not isinstance(doc["pairs"], list):
+        raise InputError("relation 'pairs' must be a list of [left, right] pairs")
     pairs = []
     for item in doc["pairs"]:
         if (not isinstance(item, list) or len(item) != 2
@@ -421,7 +423,7 @@ def modal_equiv(left: Model, w: str, right: Model, v: str,
         raise InputError(f"unknown state {v!r}")
     if family is None:
         family = definable_pairs(left, right, fragment, cap=cap)
-    return all((w in ls) == (v in rs) for ls, rs in family.pairs)
+    return family.agree(w, v)
 
 
 @dataclass(frozen=True)
@@ -438,12 +440,8 @@ def hennessy_milner(left: Model, right: Model,
     succeed; a failure report means the toolkit itself is broken."""
     fragment = Fragment.of("K", "Bc")
     family = definable_pairs(left, right, fragment, cap=cap)
-    pairs = frozenset(
-        (w, v)
-        for w in left.states
-        for v in right.states
-        if all((w in ls) == (v in rs) for ls, rs in family.pairs)
-    )
+    pairs = frozenset((w, v) for w in left.states for v in right.states
+                      if family.agree(w, v))
     rel = Relation(left, right, pairs)
     res = check_bc(rel, fragment, cap=cap, family=family)
     return HMReport(res.ok, rel, res.violation)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
-(including a formula nested too deeply to parse or print), 3 resource cap
-exceeded.
+(including an unreadable file and a formula nested too deeply to parse or
+print), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -277,7 +277,8 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
+        # Unreadable files: missing, a directory, not UTF-8 text.
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -83,16 +83,20 @@ def genspec_from_dict(d: dict) -> GenSpec:
         lo, hi = states
     else:
         raise InputError("states must be an integer or a [min, max] pair")
+    counts = {}
+    for key, default in (("agents", 1), ("atoms", 1), ("seed", 0)):
+        value = d.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{key} must be an integer, got {value!r}")
+        counts[key] = value
     return GenSpec(
         min_states=lo,
         max_states=hi,
-        agents=d.get("agents", 1),
-        atoms=d.get("atoms", 1),
         uniform=bool(d.get("uniform", False)),
         locally_connected=bool(d.get("locallyConnected", False)),
         total_preorders=bool(d.get("totalPreorders", False)),
         discrete_preorders=bool(d.get("discretePreorders", False)),
-        seed=d.get("seed", 0),
+        **counts,
     )
 
 

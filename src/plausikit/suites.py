@@ -9,6 +9,7 @@ models and the formulas involved.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -72,6 +73,18 @@ def _blame(trial: int, trial_seed: int, message: str, models=(), formulas=()):
     return " ".join(parts)
 
 
+def _trials(report: SuiteReport):
+    """Yield (trial, trial_seed, trng) for each of ``report.trials`` trials,
+    drawing the trial seeds from ``report.seed``; set ``report.elapsed``
+    when the loop ends."""
+    rng = random.Random(report.seed)
+    t0 = time.monotonic()
+    for trial in range(report.trials):
+        trial_seed = rng.getrandbits(48)
+        yield trial, trial_seed, random.Random(trial_seed)
+    report.elapsed = time.monotonic() - t0
+
+
 def _model_pair(rng: random.Random, lo: int, hi: int, agents: int, atoms: int,
                 uniform=False, locally_connected=False):
     """Half the time an isomorphic copy (guaranteeing nonempty relations),
@@ -107,16 +120,11 @@ def _agreement_failures(left, right, pairs, formulas, trial, trial_seed):
 # ---------------------------------------------------------------------------
 # Bisimilarity implies equivalence (structural notions)
 
-def _structural_equivalence_suite(name, bisim_fragment, formula_fragment,
-                                  trials, seed, sizes=(2, 5), agents=2,
-                                  atoms=2, uniform=False, locally_connected=False,
+def _structural_equivalence_suite(report, bisim_fragment, formula_fragment,
+                                  sizes=(2, 5), agents=2, atoms=2,
+                                  uniform=False, locally_connected=False,
                                   samples=12, depth=3):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         left, right = _model_pair(trng, sizes[0], sizes[1], agents, atoms,
                                   uniform=uniform,
                                   locally_connected=locally_connected)
@@ -133,21 +141,14 @@ def _structural_equivalence_suite(name, bisim_fragment, formula_fragment,
                     for _ in range(samples)]
         report.failures.extend(_agreement_failures(
             left, right, z.pairs, formulas, trial, trial_seed))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
-def _bc_equivalence_suite(name, fragment, trials, seed, sizes=(2, 3),
-                          agents=2, atoms=2, samples=12, depth=3):
+def _bc_equivalence_suite(report, fragment, sizes=(2, 3), agents=2, atoms=2,
+                          samples=12, depth=3):
     """Build the modal-equivalence relation for a conditional-belief
     fragment, check it satisfies the quantified clauses, then check formula
     agreement along it."""
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         left, right = _model_pair(trng, sizes[0], sizes[1], agents, atoms)
         family = definable_pairs(left, right, fragment)
         pairs = frozenset(
@@ -166,53 +167,33 @@ def _bc_equivalence_suite(name, fragment, trials, seed, sizes=(2, 3),
                     for _ in range(samples)]
         report.failures.extend(_agreement_failures(
             left, right, pairs, formulas, trial, trial_seed))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
-def _containment_suite(name, structural_fragment, trials, seed,
-                       locally_connected, sizes=(2, 3)):
+def _containment_suite(report, structural_fragment, locally_connected,
+                       sizes=(2, 3)):
     """On uniform (optionally locally connected) pairs, the greatest
     structural relation must sit inside the K+Bc equivalence relation, which
     itself must pass the quantified check."""
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
-    fragment = Fragment.of("K", "Bc")
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         left, right = _model_pair(trng, sizes[0], sizes[1], 2, 2, uniform=True,
                                   locally_connected=locally_connected)
         z = greatest_structural(left, right, structural_fragment)
-        family = definable_pairs(left, right, fragment)
-        equiv = frozenset(
-            (w, v) for w in left.states for v in right.states
-            if family.agree(w, v))
-        missing = sorted(z.pairs - equiv)
+        hm = hennessy_milner(left, right)
+        missing = sorted(z.pairs - hm.relation.pairs)
         if missing:
             report.failures.append(_blame(
                 trial, trial_seed,
                 f"structural pairs outside the equivalence relation: {missing}",
                 (left, right)))
-            continue
-        res = check_bc(Relation(left, right, equiv), fragment, family=family)
-        if not res.ok:
+        elif not hm.ok:
             report.failures.append(_blame(
                 trial, trial_seed,
-                f"equivalence relation fails the check: {res.violation}",
+                f"equivalence relation fails the check: {hm.violation}",
                 (left, right)))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
-def _hennessy_milner_suite(name, trials, seed):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+def _hennessy_milner_suite(report):
+    for trial, trial_seed, trng in _trials(report):
         left, right = _model_pair(trng, 2, 4, 2, 2)
         hm = hennessy_milner(left, right)
         if not hm.ok:
@@ -220,8 +201,6 @@ def _hennessy_milner_suite(name, trials, seed):
                 trial, trial_seed,
                 f"equivalence relation is not a K+Bc bisimulation: {hm.violation}",
                 (left, right)))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +216,8 @@ def _random_dynamic_formula(rng, atoms, agents, depth):
     return Announce(Top(), static)
 
 
-def _reduction_suite(name, trials, seed):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+def _reduction_suite(report):
+    for trial, trial_seed, trng in _trials(report):
         m = generate(GenSpec(2, 4, 2, 2, seed=trng.getrandbits(48)))
         f = _random_dynamic_formula(trng, sorted(m.valuation), m.agents, 3)
         reduced, _ = reduce_dynamic(f)
@@ -258,8 +232,6 @@ def _reduction_suite(name, trials, seed):
                 trial, trial_seed,
                 f"truth sets differ: {sorted(before)} vs {sorted(after)}",
                 (m,), (f, reduced)))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
 def _announce_schemas():
@@ -323,42 +295,31 @@ def _gt_schemas():
     return [("announce-gt", s_ann_gt), ("upgrade-gt", s_up_gt)]
 
 
-def _schema_suite(name, schemas, per_schema, seed):
-    rng = random.Random(seed)
-    report = SuiteReport(name, per_schema * len(schemas), seed=seed)
+def _schema_suite(report, schemas):
+    """``report.trials`` trials per schema, one schema after the other."""
+    per_schema = report.trials
+    report.trials = per_schema * len(schemas)
     static = Fragment.of("K", "Bc", "Bplus", "Gt")
-    t0 = time.monotonic()
-    trial = 0
-    for label, build in schemas:
-        for _ in range(per_schema):
-            trial_seed = rng.getrandbits(48)
-            trng = random.Random(trial_seed)
-            m = generate(GenSpec(2, 4, 2, 2, seed=trng.getrandbits(48)))
-            agent = trng.choice(m.agents)
-            args = [random_formula(trng, sorted(m.valuation), m.agents, static, 1)
-                    for _ in range(3)]
-            instance = build(agent, *args)
-            ok, bad = is_valid_on(m, instance)
-            if not ok:
-                report.failures.append(_blame(
-                    trial, trial_seed, f"{label} fails at state {bad}",
-                    (m,), (instance,)))
-            trial += 1
-    report.elapsed = time.monotonic() - t0
-    return report
+    for trial, trial_seed, trng in _trials(report):
+        label, build = schemas[trial // per_schema]
+        m = generate(GenSpec(2, 4, 2, 2, seed=trng.getrandbits(48)))
+        agent = trng.choice(m.agents)
+        args = [random_formula(trng, sorted(m.valuation), m.agents, static, 1)
+                for _ in range(3)]
+        instance = build(agent, *args)
+        ok, bad = is_valid_on(m, instance)
+        if not ok:
+            report.failures.append(_blame(
+                trial, trial_seed, f"{label} fails at state {bad}",
+                (m,), (instance,)))
 
 
 # ---------------------------------------------------------------------------
 # Dynamic robustness of the structural constraints
 
-def _introspection_suite(name, trials, seed):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
+def _introspection_suite(report):
     static = Fragment.of("K", "Bc", "Bplus", "Gt")
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         m = generate(GenSpec(2, 5, 2, 2, uniform=True, seed=trng.getrandbits(48)))
         agent = trng.choice(m.agents)
         alpha = random_formula(trng, sorted(m.valuation), m.agents, static, 2)
@@ -370,19 +331,12 @@ def _introspection_suite(name, trials, seed):
             report.failures.append(_blame(
                 trial, trial_seed, f"introspection fails at state {bad}",
                 (m,), (instance,)))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
-def _preservation_suite(name, checker, description, trials, seed, uniform,
+def _preservation_suite(report, checker, description, uniform,
                         locally_connected):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
     static = Fragment.of("K", "Bc", "Bplus", "Gt")
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         m = generate(GenSpec(2, 5, 2, 2, uniform=uniform,
                              locally_connected=locally_connected,
                              seed=trng.getrandbits(48)))
@@ -401,8 +355,6 @@ def _preservation_suite(name, checker, description, trials, seed, uniform,
                 report.failures.append(_blame(
                     trial, trial_seed, f"{kind} does not preserve {description}",
                     (m, out), (f,)))
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +424,10 @@ def _dedup_by_truth_set(m: Model, formulas, evaluator: Evaluator):
     return list(reps.values())
 
 
-_STATIC_DEPTH2 = None
-
-
+@functools.cache
 def _static_depth2_formulas():
-    global _STATIC_DEPTH2
-    if _STATIC_DEPTH2 is None:
-        _STATIC_DEPTH2 = list(enumerate_formulas(
-            ["p"], ["a"], Fragment.of("K", "Bc", "Bplus", "Gt"), 2))
-    return _STATIC_DEPTH2
+    return list(enumerate_formulas(
+        ["p"], ["a"], Fragment.of("K", "Bc", "Bplus", "Gt"), 2))
 
 
 def _gt_translation_instance(agent, alpha, phi):
@@ -515,9 +462,9 @@ def _connected_counterexample_model() -> Model:
     )
 
 
-def _translation_suite(name, instance, total_within_class, counterexample,
-                       counterexample_instance, guard_note, seed):
-    report = SuiteReport(name, 0, seed=None)
+def _translation_suite(report, instance, total_within_class, counterexample,
+                       counterexample_instance, guard_note):
+    report.seed = None  # exhaustive: nothing is drawn
     t0 = time.monotonic()
     formulas = _static_depth2_formulas()
     count = 0
@@ -543,32 +490,25 @@ def _translation_suite(name, instance, total_within_class, counterexample,
     report.trials = count
     report.notes = f"exhaustive over {count} models, plus the {guard_note} guard"
     report.elapsed = time.monotonic() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Equivalence after dynamics
 
-def _static_depth2_two_agents():
-    return list(enumerate_formulas(
-        ["p", "q"], ["a", "b"], Fragment.of("K", "Bc", "Bplus"), 2))
-
-
-_STATIC_KB2 = None
-
-
-def _dynamic_future_suite(name, trials, seed):
-    global _STATIC_KB2
-    if _STATIC_KB2 is None:
-        _STATIC_KB2 = _static_depth2_two_agents()
-    formulas = _STATIC_KB2
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
+def _dynamic_future_suite(report):
+    """Bisimilar pairs must agree on every K+Bc+Bplus formula after the
+    dynamics.  The formulas checked are one witness per member of the
+    definable-pair family, which stands for the whole language at every
+    depth."""
     static = Fragment.of("K", "Bc", "Bplus")
-    t0 = time.monotonic()
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+
+    def agreement_failures(cl, cr, pairs, trial, trial_seed):
+        fam = definable_pairs(cl, cr, static)
+        return _agreement_failures(
+            cl, cr, pairs, [fam.formula(k) for k in range(len(fam))],
+            trial, trial_seed)
+
+    for trial, trial_seed, trng in _trials(report):
         left = generate(GenSpec(2, 4, 2, 2, uniform=True, locally_connected=True,
                                 seed=trng.getrandbits(48)))
         right = rename_states(left)
@@ -593,15 +533,15 @@ def _dynamic_future_suite(name, trials, seed):
         # One announcement at pairs where both sides hear it.
         phi, kept = surviving_announcement(left, right, z.pairs)
         if phi is not None:
-            report.failures.extend(_agreement_failures(
+            report.failures.extend(agreement_failures(
                 announce(left, phi), announce(right, phi), kept,
-                formulas, trial, trial_seed))
+                trial, trial_seed))
 
         # One upgrade, at every bisimilar pair.
         psi = random_formula(trng, sorted(left.valuation), left.agents, static, 2)
-        report.failures.extend(_agreement_failures(
+        report.failures.extend(agreement_failures(
             upgrade(left, psi), upgrade(right, psi), z.pairs,
-            formulas, trial, trial_seed))
+            trial, trial_seed))
 
         # A three-step mixed history.
         cl, cr, pairs = left, right, z.pairs
@@ -616,10 +556,8 @@ def _dynamic_future_suite(name, trials, seed):
                                      static, 2)
                 cl, cr = upgrade(cl, phi), upgrade(cr, phi)
         if pairs:
-            report.failures.extend(_agreement_failures(
-                cl, cr, pairs, formulas, trial, trial_seed))
-    report.elapsed = time.monotonic() - t0
-    return report
+            report.failures.extend(agreement_failures(
+                cl, cr, pairs, trial, trial_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -680,15 +618,10 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
         current = fresh
 
 
-def _pairfamily_suite(name, trials, seed):
-    rng = random.Random(seed)
-    report = SuiteReport(name, trials, seed=seed)
+def _pairfamily_suite(report):
     fragment = Fragment.of("K", "Bc")
-    t0 = time.monotonic()
     enum_cache = {}
-    for trial in range(trials):
-        trial_seed = rng.getrandbits(48)
-        trng = random.Random(trial_seed)
+    for trial, trial_seed, trng in _trials(report):
         agents = trng.choice([1, 2])
         left, right = _model_pair(trng, 2, 3, agents, 2)
         family = definable_pairs(left, right, fragment)
@@ -726,142 +659,129 @@ def _pairfamily_suite(name, trials, seed):
                         trial, trial_seed, "enumerated pair missing from family",
                         (left, right), (f,)))
                     break
-    report.elapsed = time.monotonic() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
-def _suite_defs():
+@functools.cache
+def _defs():
+    """Name -> (description, default trials, runner filling a report)."""
     KB = Fragment.of("K", "Bplus")
     return {
         "thm9-K": (
             "K-bisimilar points agree on every knowledge formula",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm9-K", Fragment.of("K"), Fragment.of("K"), t, s)),
+            lambda r: _structural_equivalence_suite(
+                r, Fragment.of("K"), Fragment.of("K"))),
         "thm9-Bplus": (
             "safe-belief-bisimilar points agree on every safe-belief formula",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm9-Bplus", Fragment.of("Bplus"), Fragment.of("Bplus"), t, s)),
+            lambda r: _structural_equivalence_suite(
+                r, Fragment.of("Bplus"), Fragment.of("Bplus"))),
         "thm9-Bc": (
             "conditional-belief-bisimilar points agree on the Bc language",
             500,
-            lambda t, s: _bc_equivalence_suite("thm9-Bc", Fragment.of("Bc"), t, s)),
+            lambda r: _bc_equivalence_suite(r, Fragment.of("Bc"))),
         "thm11-KBc": (
             "K+Bc-bisimilar points agree on the K+Bc language",
             500,
-            lambda t, s: _bc_equivalence_suite(
-                "thm11-KBc", Fragment.of("K", "Bc"), t, s)),
+            lambda r: _bc_equivalence_suite(r, Fragment.of("K", "Bc"))),
         "thm11-KBplus": (
             "K+Bplus-bisimilar points agree on the K+Bplus language",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm11-KBplus", KB, KB, t, s)),
+            lambda r: _structural_equivalence_suite(r, KB, KB)),
         "thm13": (
             "the K+Bc equivalence relation is itself a K+Bc bisimulation",
             200,
-            lambda t, s: _hennessy_milner_suite("thm13", t, s)),
+            _hennessy_milner_suite),
         "thm17": (
             "on uniform models agents know their conditional beliefs",
             500,
-            lambda t, s: _introspection_suite("thm17", t, s)),
+            _introspection_suite),
         "thm18": (
             "announcement and upgrade preserve uniformity",
             500,
-            lambda t, s: _preservation_suite(
-                "thm18", is_uniform, "uniformity", t, s,
+            lambda r: _preservation_suite(
+                r, is_uniform, "uniformity",
                 uniform=True, locally_connected=False)),
         "thm22": (
             "conditional belief matches its K+Gt unfolding on uniform models",
             None,
-            lambda t, s: _translation_suite(
-                "thm22", _gt_translation_instance, False,
+            lambda r: _translation_suite(
+                r, _gt_translation_instance, False,
                 _uniform_counterexample_model,
                 _gt_translation_instance("a", Top(), Not(Atom("p"))),
-                "non-uniform", s)),
+                "non-uniform")),
         "thm24-1": (
             "Gt-bisimilar points agree on the strict-plausibility language",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm24-1", Fragment.of("Gt"), Fragment.of("Gt"), t, s)),
+            lambda r: _structural_equivalence_suite(
+                r, Fragment.of("Gt"), Fragment.of("Gt"))),
         "thm24-2": (
             "K+Gt-bisimilar points agree on the K+Gt language",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm24-2", Fragment.of("K", "Gt"), Fragment.of("K", "Gt"), t, s)),
+            lambda r: _structural_equivalence_suite(
+                r, Fragment.of("K", "Gt"), Fragment.of("K", "Gt"))),
         "thm24-3": (
             "on uniform models K+Gt bisimilarity gives K+Bc equivalence",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm24-3", Fragment.of("K", "Gt"), Fragment.of("K", "Bc"),
-                t, s, sizes=(2, 4), uniform=True)),
+            lambda r: _structural_equivalence_suite(
+                r, Fragment.of("K", "Gt"), Fragment.of("K", "Bc"),
+                sizes=(2, 4), uniform=True)),
         "thm24-4": (
             "on uniform models the greatest K+Gt relation sits inside K+Bc equivalence",
             200,
-            lambda t, s: _containment_suite(
-                "thm24-4", Fragment.of("K", "Gt"), t, s, locally_connected=False)),
+            lambda r: _containment_suite(
+                r, Fragment.of("K", "Gt"), locally_connected=False)),
         "thm26": (
             "announcement and upgrade preserve local connectedness",
             500,
-            lambda t, s: _preservation_suite(
-                "thm26", is_locally_connected, "local connectedness", t, s,
+            lambda r: _preservation_suite(
+                r, is_locally_connected, "local connectedness",
                 uniform=False, locally_connected=True)),
         "thm27": (
             "conditional belief matches its K+Bplus unfolding on uniform locally "
             "connected models",
             None,
-            lambda t, s: _translation_suite(
-                "thm27", _safe_translation_instance, True,
+            lambda r: _translation_suite(
+                r, _safe_translation_instance, True,
                 _connected_counterexample_model,
                 _safe_translation_instance("a", Top(), Atom("p")),
-                "non-connected", s)),
+                "non-connected")),
         "thm28-1": (
             "on uniform locally connected models K+Bplus bisimilarity gives "
             "K+Bplus+Bc equivalence",
             500,
-            lambda t, s: _structural_equivalence_suite(
-                "thm28-1", KB, Fragment.of("K", "Bplus", "Bc"), t, s,
+            lambda r: _structural_equivalence_suite(
+                r, KB, Fragment.of("K", "Bplus", "Bc"),
                 sizes=(2, 4), uniform=True, locally_connected=True)),
         "thm28-2": (
             "on uniform locally connected models the greatest K+Bplus relation "
             "sits inside K+Bc equivalence",
             200,
-            lambda t, s: _containment_suite(
-                "thm28-2", KB, t, s, locally_connected=True)),
+            lambda r: _containment_suite(r, KB, locally_connected=True)),
         "thm29": (
             "bisimilar now means equivalent after announcements and upgrades",
             200,
-            lambda t, s: _dynamic_future_suite("thm29", t, s)),
+            _dynamic_future_suite),
         "reduction": (
             "eliminating dynamic operators preserves truth everywhere",
             500,
-            lambda t, s: _reduction_suite("reduction", t, s)),
+            _reduction_suite),
         "fact5": (
             "the six announcement/upgrade biconditionals for K, Bc, Bplus are valid",
             100,
-            lambda t, s: _schema_suite("fact5", _announce_schemas(), t, s)),
+            lambda r: _schema_suite(r, _announce_schemas())),
         "fact30": (
             "the two announcement/upgrade biconditionals for Gt are valid",
             100,
-            lambda t, s: _schema_suite("fact30", _gt_schemas(), t, s)),
+            lambda r: _schema_suite(r, _gt_schemas())),
         "pairfamily": (
             "the definable-pair family is exactly the enumerable truth-set pairs",
             100,
-            lambda t, s: _pairfamily_suite("pairfamily", t, s)),
+            _pairfamily_suite),
     }
-
-
-_DEFS = None
-
-
-def _defs():
-    global _DEFS
-    if _DEFS is None:
-        _DEFS = _suite_defs()
-    return _DEFS
 
 
 def suite_names() -> list[str]:
@@ -880,10 +800,16 @@ def run_suite(name: str, trials: int | None = None,
     _, default_trials, runner = defs[name]
     if seed is None:
         env = os.environ.get("PLAUSIKIT_SEED")
-        seed = int(env) if env else DEFAULT_SEED
+        try:
+            seed = int(env) if env else DEFAULT_SEED
+        except ValueError:
+            raise InputError(
+                f"PLAUSIKIT_SEED must be an integer, got {env!r}") from None
     if trials is None:
         trials = default_trials
-    return runner(trials, seed)
+    report = SuiteReport(name, trials, seed=seed)
+    runner(report)
+    return report
 
 
 def suite_description(name: str) -> str:

@@ -262,6 +262,55 @@ class TestCorpus:
         assert all("ok" in line for line in out.splitlines())
 
 
+class TestUnusableInput:
+    """Unreadable files and mistyped fields exit 2 with one error line,
+    never 1, the code of a false verdict."""
+
+    @staticmethod
+    def exits_2(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_check_on_a_directory(self, capsys, tmp_path):
+        self.exits_2(capsys, "check", str(tmp_path), "w0", "p")
+
+    def test_gen_on_a_directory(self, capsys, tmp_path):
+        self.exits_2(capsys, "gen", str(tmp_path))
+
+    def test_relation_file_is_a_directory(self, corpus_files, capsys, tmp_path):
+        left, right, _ = corpus_files["thm15"]
+        self.exits_2(capsys, "bisim", left, right, "--relation", str(tmp_path))
+
+    def test_model_file_not_in_utf8(self, corpus_files, capsys, tmp_path):
+        left, _, _ = corpus_files["thm15"]
+        path = tmp_path / "utf16.json"
+        path.write_bytes(open(left, encoding="utf-8").read().encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        self.exits_2(capsys, "check", str(path), "w", "p")
+
+    @pytest.mark.parametrize("pairs", [3, None])
+    def test_relation_pairs_not_a_list(self, corpus_files, capsys, tmp_path,
+                                       pairs):
+        left, right, _ = corpus_files["thm15"]
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps({"pairs": pairs}))
+        self.exits_2(capsys, "bisim", left, right, "--relation", str(path))
+
+    @pytest.mark.parametrize("field", [
+        {"agents": "x"}, {"agents": 2.5}, {"atoms": None}, {"seed": [1]},
+        {"agents": True},
+    ])
+    def test_spec_count_not_an_integer(self, capsys, tmp_path, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"states": 2, **field}))
+        self.exits_2(capsys, "gen", str(path))
+
+    def test_seed_variable_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PLAUSIKIT_SEED", "seven")
+        self.exits_2(capsys, "suite", "thm13")
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -84,3 +84,73 @@ def test_suite_report_lines_include_failures():
     lines = report.lines()
     assert lines[0].startswith("suite demo: trials=3 failures=1")
     assert lines[1] == "  FAIL trial=0 seed=1 boom"
+
+
+def test_trial_driver_draws_the_seed_sequence_and_times_the_loop():
+    import random
+    from plausikit.suites import SuiteReport, _trials
+    report = SuiteReport("demo", 4, seed=42, elapsed=-1.0)
+    rng = random.Random(42)
+    driver = _trials(report)
+    for trial in range(4):
+        got_trial, trial_seed, trng = next(driver)
+        assert (got_trial, trial_seed) == (trial, rng.getrandbits(48))
+        assert trng.random() == random.Random(trial_seed).random()
+        assert report.elapsed == -1.0
+    assert next(driver, None) is None
+    assert report.elapsed >= 0.0
+
+
+def _thm29_style_pairs(count=30):
+    """A uniform, locally connected model and its renamed copy, after one
+    announcement or upgrade, as the thm29 suite builds them."""
+    import random
+    from plausikit import Fragment, GenSpec, generate, rename_states
+    from plausikit.dynamics import announce, upgrade
+    from plausikit.generate import random_formula
+    from plausikit.semantics import truth_set
+    static = Fragment.of("K", "Bc", "Bplus")
+    for seed in range(count):
+        rng = random.Random(seed)
+        left = generate(GenSpec(2, 4, 2, 2, uniform=True,
+                                locally_connected=True,
+                                seed=rng.getrandbits(48)))
+        right = rename_states(left)
+        phi = random_formula(rng, ["p", "q"], ["a", "b"], static, 2)
+        if seed % 2 and truth_set(left, phi):
+            yield announce(left, phi), announce(right, phi)
+        else:
+            yield upgrade(left, phi), upgrade(right, phi)
+
+
+def test_family_witnesses_cover_every_depth2_formula():
+    # thm29 checks one witness per family member in place of the 6303
+    # enumerated depth-2 formulas; the family must hold all their pairs.
+    from plausikit import Fragment, definable_pairs
+    from plausikit.semantics import Evaluator
+    from plausikit.syntax import enumerate_formulas
+    static = Fragment.of("K", "Bc", "Bplus")
+    formulas = list(enumerate_formulas(["p", "q"], ["a", "b"], static, 2))
+    for left, right in _thm29_style_pairs():
+        family = definable_pairs(left, right, static)
+        evl, evr = Evaluator(), Evaluator()
+        for k, pair in enumerate(family.pairs):
+            f = family.formula(k)
+            assert (evl.truth_set(left, f), evr.truth_set(right, f)) == pair
+        members = set(family.pairs)
+        for f in formulas:
+            assert (evl.truth_set(left, f), evr.truth_set(right, f)) in members
+
+
+def test_thm29_flags_an_upgrade_that_breaks_bisimilarity(monkeypatch):
+    from plausikit import suites
+    from plausikit.syntax import Not
+    real = suites.upgrade
+
+    def upgrade_copy_with_negation(m, f):
+        return real(m, Not(f) if m.states[0].startswith("x") else f)
+
+    monkeypatch.setattr(suites, "upgrade", upgrade_copy_with_negation)
+    report = run_suite("thm29", trials=10, seed=11)
+    assert report.failures
+    assert all("disagreement at" in line for line in report.failures)
