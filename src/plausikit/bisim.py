@@ -2,9 +2,9 @@
 
 Three kinds of procedure live here:
 
-* structural checks and greatest-fixpoint computation for the notions whose
-  clauses mention only the relations of the two models (knowledge, safe
-  belief, strict plausibility);
+* structural checks for the notions whose clauses mention only the
+  relations of the two models (knowledge, safe belief, strict
+  plausibility);
 * the conditional-belief notion, whose clauses quantify over all condition
   formulas of a static sublanguage.  On finite models that quantifier is
   replaced exactly by the family of simultaneously-definable truth-set
@@ -15,8 +15,12 @@ Three kinds of procedure live here:
   formula, and every formula of the fragment lands in the family, so
   checking the clauses against the family decides the quantified notion
   exactly;
-* modal-equivalence and Hennessy-Milner style verification built on that
-  family.
+* one partition-refinement engine for the disjoint union of the two models.
+  The family is a Boolean algebra, so it is exactly the unions of the
+  blocks of the modal-equivalence partition; refining from atom agreement
+  finds those blocks without building the family.  Modal equivalence,
+  Hennessy-Milner, the greatest structural bisimulation and the
+  conditional-belief check all read it.
 
 State sets are handled as bitmasks internally; the public surface speaks in
 frozensets of state names.
@@ -25,6 +29,8 @@ frozensets of state names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .errors import InputError, ResourceLimitError
 from .model import Model, bits, box
@@ -200,44 +206,97 @@ def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
 
 
 def greatest_structural(left: Model, right: Model, fragment: Fragment) -> Relation:
-    """Largest relation satisfying the structural clauses: start from every
-    atom-respecting pair and delete pairs with an unmatched clause until
-    nothing changes.  The result is the union of all such bisimulations."""
+    """Largest relation satisfying the structural clauses: the union of all
+    such bisimulations.  It pairs the states that share a block of the
+    partition refined from atom agreement by the fragment's clauses."""
     _require_same_agents(left, right)
     bad = fragment.operators - frozenset(_STRUCTURAL_KINDS)
     if bad:
         raise InputError(f"not structural notions: {sorted(bad)}")
-    li, ri = left.index, right.index
-    atoms = _atoms_of(left, right)
-    by_atoms: dict = {}
-    for v in right.states:
-        sig = tuple(v in right.atom_extension(p) for p in atoms)
-        by_atoms[sig] = by_atoms.get(sig, 0) | 1 << ri.pos[v]
-    l_img = [by_atoms.get(tuple(w in left.atom_extension(p) for p in atoms), 0)
-             for w in left.states]
-    clauses = [(kind, a) for kind in _STRUCTURAL_KINDS if kind in fragment
-               for a in left.agents]
-    l_t = {c: li.targets(*c) for c in clauses}
-    r_t = {c: ri.targets(*c) for c in clauses}
+    return _same_block(left, right, _partition(left, right, fragment.operators))
 
-    changed = True
-    while changed:
-        changed = False
-        r_img = [0] * len(right.states)
-        for w, vs in enumerate(l_img):
-            for v in bits(vs):
-                r_img[v] |= 1 << w
-        # Pairs removed in this sweep may still show in r_img; that only
-        # keeps a doomed pair one more round, never drops a sound one.
-        for w in range(len(left.states)):
-            for v in bits(l_img[w]):
-                if any(_unmatched(l_t[c][w], r_t[c][v], l_img, r_img)
-                       for c in clauses):
-                    l_img[w] &= ~(1 << v)
-                    changed = True
+
+# ---------------------------------------------------------------------------
+# Partition refinement
+
+def _positions(mask: int, off: int) -> list:
+    return [x + off for x in bits(mask)]
+
+
+def _bc_signature(members: list, block: list, bit: list) -> frozenset:
+    """Per block X meeting a class, the minimal sets among the blocks of
+    the strictly more plausible part of the class seen from each e of X;
+    ``members`` lists each e with the positions of that part.  X meets the
+    most plausible C-states of the class, for a union C of blocks holding
+    X, exactly when C misses one of those sets.  (A set holding X itself is
+    never minimal: by transitivity, a most plausible member of X in the
+    class sees a strict subset of it.)"""
+    per: dict = {}
+    for e, better in members:
+        per.setdefault(block[e], set()).add(
+            reduce(or_, map(bit.__getitem__, better), 0))
+    return frozenset((x, frozenset(d for d in ds if not any(
+        k != d and not k & ~d for k in ds))) for x, ds in per.items())
+
+
+def _partition(left: Model, right: Model, ops: frozenset) -> list:
+    """Block numbers of the modal-equivalence partition of the disjoint
+    union of two models for the static operators ops.  Position i is left
+    state i; position len(left.states) + j is right state j.
+
+    Blocks start from atom agreement and split by a per-state, per-agent
+    signature until none splits: for K, Bplus and Gt, the blocks of the
+    states the box looks at; for Bc, :func:`_bc_signature`.  States of one
+    block then share every signature, so the unions of blocks are closed
+    under every operator, and each split is definable from the blocks
+    before it: the unions are exactly the definable-pair family.
+    """
+    li, ri = left.index, right.index
+    nl = len(li.states)
+    sides = ((li, 0), (ri, nl))
+    atoms = [li.atom(p) | ri.atom(p) << nl for p in _atoms_of(left, right)]
+    # Each state sits in one group per clause, so signatures line up.
+    boxes = [(_positions(t, off), _positions(ws, off))
+             for kind in _STRUCTURAL_KINDS if kind in ops for a in left.agents
+             for ix, off in sides for t, ws in ix.groups(kind, a)]
+    conds = [([(e + off, _positions(o.below[e] & ~o.above[e] & row, off))
+               for e in bits(row)], _positions(ws, off))
+             for a in (left.agents if "Bc" in ops else ())
+             for ix, off in sides for (row, o), ws in ix.classes(a)]
+    ids: dict = {}
+    block = [ids.setdefault(tuple(m >> x & 1 for m in atoms), len(ids))
+             for x in range(nl + len(ri.states))]
+    while True:
+        count = len(ids)
+        bit = [1 << b for b in block]
+        sig = [[b] for b in block]
+        for targets, states in boxes:
+            key = reduce(or_, map(bit.__getitem__, targets), 0)
+            for x in states:
+                sig[x].append(key)
+        for members, states in conds:
+            key = _bc_signature(members, block, bit)
+            for x in states:
+                sig[x].append(key)
+        ids = {}
+        block = [ids.setdefault(tuple(s), len(ids)) for s in sig]
+        if len(ids) == count:
+            return block
+
+
+def _block_masks(block: list) -> list:
+    """Each block as a mask of positions, in block-number order."""
+    masks = [0] * (max(block, default=-1) + 1)
+    for x, b in enumerate(block):
+        masks[b] |= 1 << x
+    return masks
+
+
+def _same_block(left: Model, right: Model, block: list) -> Relation:
+    off = len(left.states)
     return Relation(left, right, frozenset(
-        (w, right.states[v]) for k, w in enumerate(left.states)
-        for v in bits(l_img[k])))
+        (w, v) for i, w in enumerate(left.states)
+        for j, v in enumerate(right.states) if block[i] == block[off + j]))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +345,15 @@ class PairFamily:
         return all((w in ls) == (v in rs) for ls, rs in self.pairs)
 
 
+def _require_static(left: Model, right: Model, fragment: Fragment) -> None:
+    _require_same_agents(left, right)
+    if not fragment.is_static:
+        raise InputError("definable pairs are only computed for static fragments")
+    bad = fragment.operators - frozenset({"K", "Bc", "Bplus", "Gt"})
+    if bad:
+        raise InputError(f"unknown static operators: {sorted(bad)}")
+
+
 def definable_pairs(left: Model, right: Model, fragment: Fragment,
                     cap: int = DEFAULT_FAMILY_CAP) -> PairFamily:
     """Close the atom pairs and the pair of full state sets under the
@@ -295,12 +363,7 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
     closure terminates; ``cap`` bounds its size and a crossing raises
     :class:`ResourceLimitError`.
     """
-    _require_same_agents(left, right)
-    if not fragment.is_static:
-        raise InputError("definable pairs are only computed for static fragments")
-    bad = fragment.operators - frozenset({"K", "Bc", "Bplus", "Gt"})
-    if bad:
-        raise InputError(f"unknown static operators: {sorted(bad)}")
+    _require_static(left, right, fragment)
     li, ri = left.index, right.index
     agents = left.agents
     entries: list[tuple[int, int]] = []
@@ -379,15 +442,71 @@ def check_bc(rel: Relation, fragment: Fragment,
              family: PairFamily | None = None) -> CheckResult:
     """Check the conditional-belief zig and zag clauses with the condition
     quantifier ranging over the definable-pair family of the fragment, plus
-    the structural clauses of any other operators in the fragment."""
+    the structural clauses of any other operators in the fragment.
+
+    The family is the 2^k unions of the k blocks of the modal-equivalence
+    partition; more than ``cap`` of them raises
+    :class:`ResourceLimitError`.  The clauses are decided over those
+    unions, and the family itself is built only when one fails, to report
+    the violation.  A ``family`` passed in is read instead.
+    """
     ops = _bc_fragment(fragment)
-    structural = Fragment(ops - {"Bc"})
-    base = check_structural(rel, structural)
+    base = check_structural(rel, Fragment(ops - {"Bc"}))
     if not base.ok:
         return base
+    if family is not None:
+        return _family_violation(rel, family)
+    return _bc_over_blocks(rel, fragment, _partition(rel.left, rel.right, ops), cap)
+
+
+def _bc_over_blocks(rel: Relation, fragment: Fragment, block: list,
+                    cap: int) -> CheckResult:
+    """The Bc clauses of rel, with the condition ranging over the unions of
+    the partition's blocks, of which there may be at most cap.  The family
+    itself is built only to name a failing relation's violation."""
+    if 1 << len(_block_masks(block)) > cap:
+        raise ResourceLimitError(
+            f"definable pair family exceeded cap of {cap} pairs", cap=cap)
+    if _bc_clauses_hold(rel, block):
+        return CheckResult(True)
+    return _family_violation(
+        rel, definable_pairs(rel.left, rel.right, fragment, cap=cap))
+
+
+def _bc_clauses_hold(rel: Relation, block: list) -> bool:
+    """Do the Bc zig and zag clauses hold at every pair of rel, for every
+    condition that is a union of blocks?  At a pair only the blocks meeting
+    the two classes matter, so only their unions are tried, once per
+    distinct (class, order, class, order)."""
+    li, ri = rel.left.index, rel.right.index
+    off = len(li.states)
+    l_img, r_img = _images(rel)
+    masks = _block_masks(block)
+    seen = set()
+    for w, v in rel.pairs:
+        wi, vi = li.pos[w], ri.pos[v]
+        for agent in rel.left.agents:
+            l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
+            key = (l_row, li.order(agent, wi), r_row, ri.order(agent, vi))
+            if key in seen:
+                continue
+            seen.add(key)
+            local = l_row | r_row << off
+            conds = [0]
+            for m in masks:
+                if m & local:
+                    conds += [c | m & local for c in conds]
+            if any(_unmatched(li.least(key[1], c & l_row),
+                              ri.least(key[3], c >> off), l_img, r_img)
+                   for c in conds):
+                return False
+    return True
+
+
+def _family_violation(rel: Relation, family: PairFamily) -> CheckResult:
+    """The first Bc clause of rel to fail, scanning pairs, agents and the
+    family's members in order; ok when none does."""
     left, right = rel.left, rel.right
-    if family is None:
-        family = definable_pairs(left, right, fragment, cap=cap)
     li, ri = left.index, right.index
     l_img, r_img = _images(rel)
     conds = [(li.mask(ls), ri.mask(rs)) for ls, rs in family.pairs]
@@ -415,15 +534,21 @@ def modal_equiv(left: Model, w: str, right: Model, v: str,
     """Do w and v satisfy exactly the same formulas of the fragment?
 
     Decided exactly on finite models: the two states agree on every formula
-    of the static fragment iff they agree on every definable truth-set pair.
+    of the static fragment iff they agree on every definable truth-set pair,
+    that is, iff they share a block of the modal-equivalence partition.
+    The partition is refined directly and the family is never built, so
+    ``cap`` does not bind.  A ``family`` passed in is read instead.
     """
     if w not in left.states:
         raise InputError(f"unknown state {w!r}")
     if v not in right.states:
         raise InputError(f"unknown state {v!r}")
-    if family is None:
-        family = definable_pairs(left, right, fragment, cap=cap)
-    return family.agree(w, v)
+    if family is not None:
+        return family.agree(w, v)
+    _require_static(left, right, fragment)
+    block = _partition(left, right, fragment.operators)
+    off = len(left.states)
+    return block[left.index.pos[w]] == block[off + right.index.pos[v]]
 
 
 @dataclass(frozen=True)
@@ -439,9 +564,10 @@ def hennessy_milner(left: Model, right: Model,
     verify it is itself a K+Bc bisimulation.  On finite models this must
     succeed; a failure report means the toolkit itself is broken."""
     fragment = Fragment.of("K", "Bc")
-    family = definable_pairs(left, right, fragment, cap=cap)
-    pairs = frozenset((w, v) for w in left.states for v in right.states
-                      if family.agree(w, v))
-    rel = Relation(left, right, pairs)
-    res = check_bc(rel, fragment, cap=cap, family=family)
+    _require_same_agents(left, right)
+    block = _partition(left, right, fragment.operators)
+    rel = _same_block(left, right, block)
+    res = check_structural(rel, Fragment.of("K"))
+    if res.ok:
+        res = _bc_over_blocks(rel, fragment, block, cap)
     return HMReport(res.ok, rel, res.violation)

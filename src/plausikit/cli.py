@@ -8,6 +8,7 @@ print), 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bisim import (check_bc, check_structural, greatest_structural,
@@ -263,10 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it unchanged, and argparse
+    looks up sys.stdout and sys.stderr only when it prints."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

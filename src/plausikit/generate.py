@@ -76,11 +76,10 @@ def genspec_from_dict(d: dict) -> GenSpec:
     if extra:
         raise InputError(f"generator spec has unknown keys: {sorted(extra)}")
     states = d.get("states", [1, 4])
-    if isinstance(states, int):
-        lo = hi = states
-    elif (isinstance(states, list) and len(states) == 2
-          and all(isinstance(x, int) for x in states)):
-        lo, hi = states
+    bounds = states if isinstance(states, list) else [states, states]
+    if (len(bounds) == 2 and all(isinstance(x, int) and not isinstance(x, bool)
+                                 for x in bounds)):
+        lo, hi = bounds
     else:
         raise InputError("states must be an integer or a [min, max] pair")
     counts = {}

@@ -165,7 +165,8 @@ class Index:
             self._atoms, self._rels = parent._atoms, None
             self.live = parent.live if upgrade else zone
         self._parent, self._zone, self._upgrade = parent, zone, upgrade
-        self._memo: dict = {}   # rows, orders, shared orders, targets, groups
+        # rows, orders (shared), own rows, targets, groups, classes
+        self._memo: dict = {}
         self._sets: dict = {}   # mask -> frozenset of names
 
     def at(self, state: str) -> int:
@@ -270,10 +271,41 @@ class Index:
         if got is None:
             got = list(self.rows(agent))
             if kind != "K":
-                for w in bits(self.live):
-                    o = self.order(agent, w)
-                    got[w] &= o.below[w] & (~o.above[w] if kind == "Gt" else -1)
+                for w, below, above in self._own_rows(agent):
+                    got[w] &= below & (~above if kind == "Gt" else -1)
             self._memo[("targets", kind, agent)] = got
+        return got
+
+    def _own_rows(self, agent: str) -> list:
+        """(w, below, above) per live state w: the states of w's class at
+        least as plausible as w, and those w is at least as plausible as,
+        under the order w holds.  Where that order is unbuilt and far larger
+        than the class, a model's index tests the pairs of w with its class
+        instead of building the order: two lookups per member against one
+        pass over every pair."""
+        got = self._memo.get(("own", agent))
+        if got is not None:
+            return got
+        rows, names, got, members = self.rows(agent), self.states, [], {}
+        for w in bits(self.live):
+            cls, name = rows[w], names[w]
+            rel = (self._rels[1].get((agent, name))
+                   if self._parent is None and (agent, w) not in self._memo else None)
+            if rel is None or len(rel) <= 8 * cls.bit_count():
+                o = self.order(agent, w)
+                got.append((w, o.below[w], o.above[w]))
+                continue
+            pairs = members.get(cls)
+            if pairs is None:
+                pairs = members[cls] = [(1 << x, names[x]) for x in bits(cls)]
+            below = above = 0
+            for b, x in pairs:
+                if (x, name) in rel:
+                    below |= b
+                if (name, x) in rel:
+                    above |= b
+            got.append((w, below, above))
+        self._memo[("own", agent)] = got
         return got
 
     def _grouped(self, key_of) -> list:
@@ -292,15 +324,21 @@ class Index:
                 self.targets(kind, agent).__getitem__)
         return got
 
+    def classes(self, agent: str) -> list:
+        """((class, order), states) pairs: live states grouped by their
+        epistemic class and the order they hold."""
+        got = self._memo.get(("classes", agent))
+        if got is None:
+            rows = self.rows(agent)
+            got = self._memo[("classes", agent)] = self._grouped(
+                lambda w: (rows[w], self.order(agent, w)))
+        return got
+
     def best(self, agent: str, cond: int) -> list:
         """(most plausible cond-states of the class, states) pairs, for
         conditional belief."""
-        classes = self._memo.get(("best", agent))
-        if classes is None:
-            rows = self.rows(agent)
-            classes = self._memo[("best", agent)] = self._grouped(
-                lambda w: (rows[w], self.order(agent, w)))
-        return [(self.least(o, cond & row), ws) for (row, o), ws in classes]
+        return [(self.least(o, cond & row), ws)
+                for (row, o), ws in self.classes(agent)]
 
     @staticmethod
     def least(o: _Order, xs: int) -> int:
@@ -532,10 +570,13 @@ def model_from_dict(d: dict) -> Model:
     extra = set(d) - _TOP_KEYS
     if extra:
         raise InputError(f"model document has unknown keys: {sorted(extra)}")
-    if not isinstance(d["states"], list) or not all(isinstance(s, str) for s in d["states"]):
-        raise InputError("states: expected a list of strings")
-    if not isinstance(d["agents"], list) or not all(isinstance(a, str) for a in d["agents"]):
-        raise InputError("agents: expected a list of strings")
+    for key in ("states", "agents"):
+        names = d[key]
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise InputError(f"{key}: expected a list of strings")
+        if len(set(names)) != len(names):
+            dup = next(s for i, s in enumerate(names) if s in names[:i])
+            raise InputError(f"{key}: duplicate name {dup!r}")
     if not isinstance(d["epist"], dict):
         raise InputError("epist: expected an object")
     if not isinstance(d["plaus"], dict):

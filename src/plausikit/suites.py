@@ -17,8 +17,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bisim import (Relation, check_bc, check_structural, definable_pairs,
-                    greatest_structural, hennessy_milner)
+from .bisim import (Relation, _block_masks, _partition, check_bc,
+                    check_structural, definable_pairs, greatest_structural,
+                    hennessy_milner)
 from .dynamics import announce, upgrade
 from .errors import InputError
 from .generate import GenSpec, generate, random_formula, rename_states
@@ -618,6 +619,17 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
         current = fresh
 
 
+def _block_unions(left: Model, right: Model, fragment: Fragment) -> set:
+    """Every union of blocks of the refined modal-equivalence partition, as
+    a truth-set pair."""
+    unions = {0}
+    for mask in _block_masks(_partition(left, right, fragment.operators)):
+        unions |= {u | mask for u in unions}
+    off = len(left.states)
+    li, ri = left.index, right.index
+    return {(li.names(u & (1 << off) - 1), ri.names(u >> off)) for u in unions}
+
+
 def _pairfamily_suite(report):
     fragment = Fragment.of("K", "Bc")
     enum_cache = {}
@@ -634,6 +646,15 @@ def _pairfamily_suite(report):
                 f"family differs from saturation oracle: "
                 f"only_family={len(family_set - oracle)} "
                 f"only_oracle={len(oracle - family_set)}",
+                (left, right)))
+            continue
+        unions = _block_unions(left, right, fragment)
+        if family_set != unions:
+            report.failures.append(_blame(
+                trial, trial_seed,
+                f"family differs from the unions of refined blocks: "
+                f"only_family={len(family_set - unions)} "
+                f"only_blocks={len(unions - family_set)}",
                 (left, right)))
             continue
 

@@ -5,7 +5,9 @@ The reference evaluator is deliberately naive: straight per-state recursion,
 no memoization, no truth-set computation, with its own copies of the model
 transformations written as comprehensions.  It exists to disagree with the
 production evaluator if either is wrong.  ``ref_validate`` plays the same
-part for ``validate``, and ``ref_reduce_dynamic`` for ``reduce_dynamic``.
+part for ``validate``, ``ref_reduce_dynamic`` for ``reduce_dynamic``, and
+``ref_greatest_structural`` and ``ref_check_bc`` for the bisimulation
+procedures that now read the partition-refinement engine.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import re
 
 from hypothesis import strategies as st
 
-from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
-                       Implies, Know, Model, Not, Or, RewriteStep,
-                       RewriteTrace, SafeBelief, Top, Upgrade)
+from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
+                       Fragment, GtBox, Implies, Know, Model, Not, Or,
+                       Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
+                       Upgrade, Violation, check_structural, definable_pairs,
+                       format_formula)
+from plausikit.model import bits
 from plausikit.rewrite import _contract, replace_at, subterm_at
 from plausikit.syntax import children
 
@@ -178,6 +183,90 @@ def ref_reduce_dynamic(f):
         steps.append(RewriteStep(path, rule, red, out))
         g = replace_at(g, path, out)
     return g, RewriteTrace(tuple(steps))
+
+
+def _ref_images(rel: Relation):
+    li, ri = rel.left.index, rel.right.index
+    l_img = [0] * len(li.states)
+    r_img = [0] * len(ri.states)
+    for w, v in rel.pairs:
+        l_img[li.pos[w]] |= 1 << ri.pos[v]
+        r_img[ri.pos[v]] |= 1 << li.pos[w]
+    return l_img, r_img
+
+
+def _ref_unmatched(lt, rt, l_img, r_img):
+    for x in bits(lt):
+        if not l_img[x] & rt:
+            return "zig", x
+    for y in bits(rt):
+        if not r_img[y] & lt:
+            return "zag", y
+    return None
+
+
+def ref_greatest_structural(left: Model, right: Model, fragment: Fragment) -> Relation:
+    """The deletion-fixpoint form of ``greatest_structural``, kept as its
+    oracle: start from every atom-respecting pair and delete pairs with an
+    unmatched clause until nothing changes."""
+    li, ri = left.index, right.index
+    atoms = sorted(set(left.valuation) | set(right.valuation))
+    by_atoms: dict = {}
+    for v in right.states:
+        sig = tuple(v in right.atom_extension(p) for p in atoms)
+        by_atoms[sig] = by_atoms.get(sig, 0) | 1 << ri.pos[v]
+    l_img = [by_atoms.get(tuple(w in left.atom_extension(p) for p in atoms), 0)
+             for w in left.states]
+    clauses = [(kind, a) for kind in ("K", "Bplus", "Gt") if kind in fragment
+               for a in left.agents]
+    l_t = {c: li.targets(*c) for c in clauses}
+    r_t = {c: ri.targets(*c) for c in clauses}
+
+    changed = True
+    while changed:
+        changed = False
+        r_img = [0] * len(right.states)
+        for w, vs in enumerate(l_img):
+            for v in bits(vs):
+                r_img[v] |= 1 << w
+        for w in range(len(left.states)):
+            for v in bits(l_img[w]):
+                if any(_ref_unmatched(l_t[c][w], r_t[c][v], l_img, r_img)
+                       for c in clauses):
+                    l_img[w] &= ~(1 << v)
+                    changed = True
+    return Relation(left, right, frozenset(
+        (w, right.states[v]) for k, w in enumerate(left.states)
+        for v in bits(l_img[k])))
+
+
+def ref_check_bc(rel: Relation, fragment: Fragment, cap: int = 4096) -> CheckResult:
+    """The family-scanning form of ``check_bc``, kept as its oracle: build
+    the whole definable-pair family, then scan pairs, agents and members in
+    order for the first unmatched clause."""
+    base = check_structural(rel, Fragment(fragment.operators - {"Bc"}))
+    if not base.ok:
+        return base
+    left, right = rel.left, rel.right
+    family = definable_pairs(left, right, fragment, cap=cap)
+    li, ri = left.index, right.index
+    l_img, r_img = _ref_images(rel)
+    conds = [(li.mask(ls), ri.mask(rs)) for ls, rs in family.pairs]
+    for w, v in rel.sorted_pairs():
+        wi, vi = li.pos[w], ri.pos[v]
+        for agent in left.agents:
+            l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
+            l_ord, r_ord = li.order(agent, wi), ri.order(agent, vi)
+            for k, (lc, rc) in enumerate(conds):
+                miss = _ref_unmatched(li.least(l_ord, lc & l_row),
+                                      ri.least(r_ord, rc & r_row), l_img, r_img)
+                if miss:
+                    side, x = miss
+                    names = li.states if side == "zig" else ri.states
+                    return CheckResult(False, Violation(
+                        f"Bc-{side}", (w, v), agent=agent, state=names[x],
+                        detail=f"condition {format_formula(family.formula(k))}"))
+    return CheckResult(True)
 
 
 def ref_announce(m: Model, ann) -> Model:

@@ -302,3 +302,140 @@ def test_malformed_relation_document_rejected():
         relation_from_dict({"pairs": [["w"]]}, left, right)
     with pytest.raises(InputError):
         relation_from_dict({}, left, right)
+
+
+# ---------------------------------------------------------------------------
+# The partition-refinement engine against the code it replaced
+
+from hypothesis import strategies as st
+
+from plausikit import BC_FRAGMENTS
+
+from helpers import ref_check_bc, ref_greatest_structural
+
+STATIC_FRAGMENTS = [Fragment.of(*ops)
+                    for r in range(1, 5)
+                    for ops in itertools.combinations(["K", "Bc", "Bplus", "Gt"], r)]
+STRUCTURAL_FRAGMENTS = [f for f in STATIC_FRAGMENTS if "Bc" not in f]
+
+
+@st.composite
+def model_pairs(draw, max_states=3):
+    """Two models over the same agents: a model and its renamed copy, or
+    two models drawn apart (mostly not isomorphic)."""
+    from plausikit import rename_states
+    left = draw(models(max_states=max_states))
+    if draw(st.booleans()):
+        return left, rename_states(left)
+    right = draw(models(max_states=max_states))
+    if right.agents != left.agents:
+        right = Model(right.states, left.agents,
+                      {a: right.epist[right.agents[0]] for a in left.agents},
+                      {(a, w): right.plaus[(right.agents[0], w)]
+                       for a in left.agents for w in right.states},
+                      right.valuation)
+    return left, rename_states(right)
+
+
+def atom_respecting(left, right):
+    atoms = sorted(set(left.valuation) | set(right.valuation))
+    return sorted((w, v) for w in left.states for v in right.states
+                  if all((w in left.atom_extension(p)) == (v in right.atom_extension(p))
+                         for p in atoms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_pairs())
+def test_modal_equiv_is_agreement_on_the_family_in_every_static_fragment(pair):
+    left, right = pair
+    for frag in STATIC_FRAGMENTS:
+        fam = definable_pairs(left, right, frag)
+        for w in left.states:
+            for v in right.states:
+                assert (modal_equiv(left, w, right, v, frag)
+                        == fam.agree(w, v)), (frag, w, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_pairs())
+def test_family_is_the_unions_of_the_refined_blocks(pair):
+    from plausikit.suites import _block_unions
+    left, right = pair
+    for frag in STATIC_FRAGMENTS:
+        assert set(definable_pairs(left, right, frag).pairs) == _block_unions(
+            left, right, frag), frag
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_pairs(max_states=4))
+def test_greatest_structural_matches_the_deletion_fixpoint(pair):
+    left, right = pair
+    for frag in STRUCTURAL_FRAGMENTS:
+        assert (greatest_structural(left, right, frag).pairs
+                == ref_greatest_structural(left, right, frag).pairs), frag
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_pairs(), st.data())
+def test_check_bc_matches_the_family_scan(pair, data):
+    left, right = pair
+    respecting = atom_respecting(left, right)
+    every = [(w, v) for w in left.states for v in right.states]
+    for ops in BC_FRAGMENTS:
+        frag = Fragment(ops)
+        hm = frozenset((w, v) for w, v in every if modal_equiv(left, w, right, v, frag))
+        candidates = [
+            hm,
+            frozenset(data.draw(st.sets(st.sampled_from(every)), label="any"))
+            if every else frozenset(),
+            frozenset(data.draw(st.sets(st.sampled_from(respecting)), label="atoms"))
+            if respecting else frozenset(),
+            hm ^ frozenset(data.draw(st.sets(st.sampled_from(respecting), max_size=2),
+                                     label="flip")) if respecting else hm,
+        ]
+        for pairs in candidates:
+            rel = Relation(left, right, pairs)
+            assert check_bc(rel, frag) == ref_check_bc(rel, frag), (frag, sorted(pairs))
+        assert check_bc(Relation(left, right, hm), frag).ok
+
+
+def test_check_bc_reports_the_family_scans_violation_on_the_corpus():
+    for entry in load_corpus():
+        for ops in BC_FRAGMENTS:
+            frag = Fragment(ops)
+            assert check_bc(entry.relation, frag) == ref_check_bc(entry.relation, frag)
+
+
+def test_check_bc_caps_at_the_family_size():
+    from plausikit import rename_states
+    from plausikit.bisim import _partition
+    entry = next(e for e in load_corpus() if e.name == "thm14")
+    left, right = entry.left, rename_states(entry.left)
+    rel = Relation(left, right, frozenset((w, "x" + w) for w in left.states))
+    size = 2 ** len(set(_partition(left, right, KBC.operators)))
+    assert len(definable_pairs(left, right, KBC)) == size
+    assert check_bc(rel, KBC, cap=size).ok
+    for call in (lambda: check_bc(rel, KBC, cap=size - 1),
+                 lambda: definable_pairs(left, right, KBC, cap=size - 1)):
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+        assert err.value.cap == size - 1
+
+
+def test_equivalence_and_true_checks_never_build_the_family(monkeypatch):
+    import plausikit.bisim as bisim_mod
+    from plausikit import GenSpec, generate, rename_states
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("definable_pairs was called")
+
+    monkeypatch.setattr(bisim_mod, "definable_pairs", forbidden)
+    for seed in range(6):
+        left = generate(GenSpec(3, 6, 2, 2, seed=seed))
+        right = rename_states(left)
+        for frag in STATIC_FRAGMENTS:
+            assert modal_equiv(left, left.states[0], right, right.states[0], frag)
+        assert hennessy_milner(left, right).ok
+        iso = Relation(left, right, frozenset((w, "x" + w) for w in left.states))
+        for ops in BC_FRAGMENTS:
+            assert check_bc(iso, Fragment(ops)).ok

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plausikit import load_corpus, load_model, model_to_json, relation_to_dict
+from plausikit import (Model, load_corpus, load_model, model_to_json,
+                       relation_to_dict, total_pairs)
 from plausikit.cli import main
 
 
@@ -380,3 +381,134 @@ def test_rewrite_and_translate_never_raise(text, verb):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+def _ranked_model(states, codes, atoms):
+    """One agent, one class, one total order shared by every state (the
+    first state most plausible); state k carries the atoms of codes[k]."""
+    ranked = [(x, y) for i, x in enumerate(states) for y in states[i:]]
+    return Model(states, ["a"], {"a": total_pairs(states)},
+                 {("a", w): ranked for w in states},
+                 {p: {s for s, c in zip(states, codes) if c >> k & 1}
+                  for k, p in enumerate(atoms)})
+
+
+def _write(path, m):
+    path.write_text(model_to_json(m))
+    return str(path)
+
+
+def test_equiv_past_the_family_cap_gives_a_verdict_quickly(capsys, tmp_path):
+    """Seven states with their own valuations, against a renamed copy with
+    one atom flipped: 13 blocks, so the family would have 2^13 > 4096
+    members and the verdict used to exit 3."""
+    import time
+    from plausikit.bisim import _partition
+    names = [f"s{k}" for k in range(7)]
+    left = _ranked_model(names, range(7), "pqr")
+    right = _ranked_model([f"t{k}" for k in range(7)], [1, *range(1, 7)], "pqr")
+    assert len(set(_partition(left, right, frozenset({"K", "Bc"})))) == 13
+    lp, rp = _write(tmp_path / "l.json", left), _write(tmp_path / "r.json", right)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "equiv", lp, "s1", rp, "t1", "--fragment", "K,Bc")
+        times.append(time.perf_counter() - t0)
+        # t1 shares s1's atoms, but the left class has a state with no atom
+        assert (code, out, err) == (1, "false\n", "")
+    assert min(times) < 0.05
+    code, out, _ = run(capsys, "equiv", rp, "t0", rp, "t1", "--fragment", "K,Bc")
+    assert (code, out) == (0, "true\n")
+
+
+def test_bc_relation_check_past_the_family_cap_exits_3(capsys, tmp_path):
+    """Thirteen states with their own valuations against a renamed copy:
+    13 blocks, a family of 2^13 > 4096 pairs."""
+    left = _ranked_model([f"s{k:02}" for k in range(13)], range(13), "pqrs")
+    right = _ranked_model([f"t{k:02}" for k in range(13)], range(13), "pqrs")
+    lp, rp = _write(tmp_path / "l.json", left), _write(tmp_path / "r.json", right)
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"pairs": [[f"s{k:02}", f"t{k:02}"] for k in range(13)]}))
+    code, out, err = run(capsys, "bisim", lp, rp, "--fragment", "K,Bc",
+                         "--relation", str(rel))
+    assert (code, out) == (3, "")
+    assert err == "error: definable pair family exceeded cap of 4096 pairs\n"
+
+
+def test_main_called_repeatedly_matches_fresh_processes(corpus_files, capsys,
+                                                         monkeypatch):
+    """main keeps one parser per process; calls after the first, including
+    a bad argument and --help, print what a fresh process prints."""
+    import os
+    import subprocess
+    import sys
+    import plausikit
+    import plausikit.cli as cli_mod
+    left, right, _ = corpus_files["thm15"]
+    bc_left, bc_right, bc_rel = corpus_files["thm14"]
+    calls = [
+        ["check", left, "w", "Bplus[a] p"],
+        ["check", right, "wr", "Bplus[a] p"],
+        ["equiv", left, "w", right, "wr", "--fragment", "K,Bc"],
+        ["bisim", bc_left, bc_right, "--fragment", "K,Bc", "--relation", bc_rel],
+        ["rewrite", "[! p] K[a] q", "--trace"],
+        ["check", left, "w"],
+        ["translate", "nope", "p"],
+        ["--help"],
+        ["bisim", "--help"],
+        ["check", left, "w", "Bplus[a] p"],
+    ]
+    src = os.path.dirname(os.path.dirname(plausikit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    main(["rewrite", "p"])
+    capsys.readouterr()
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli_mod, "build_parser", rebuilt)
+    codes = set()
+    for argv in calls:
+        here = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "plausikit", *argv],
+                               capture_output=True, text=True, env=env)
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(here[0])
+    assert codes == {0, 1, 2}
+
+
+class TestDuplicateNames:
+    """A name listed twice is an input error (exit 2), not a smaller model
+    or a spec with a boolean bound."""
+
+    @staticmethod
+    def one_state_doc():
+        return {"states": ["w"], "agents": ["a"], "epist": {"a": [["w", "w"]]},
+                "plaus": {"a": {"w": [["w", "w"]]}}, "valuation": {}}
+
+    @pytest.mark.parametrize("verb", ["props", "check"])
+    @pytest.mark.parametrize("key,names", [
+        ("states", ["w", "v", "w"]), ("agents", ["a", "a"])])
+    def test_model_file_with_a_repeated_name(self, capsys, tmp_path, verb, key,
+                                             names):
+        doc = self.one_state_doc()
+        doc[key] = names
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        argv = [verb, str(path)] + (["w", "p"] if verb == "check" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {key}: duplicate name {names[-1]!r}\n"
+
+    def test_model_file_without_repeats_still_loads(self, capsys, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(self.one_state_doc()))
+        assert run(capsys, "props", str(path))[0] == 0
+
+    @pytest.mark.parametrize("states", [[True, 2], [1, False], True, [1.0, 2]])
+    def test_spec_state_bounds_must_be_integers(self, capsys, tmp_path, states):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"states": states}))
+        code, out, err = run(capsys, "gen", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: states must be an integer or a [min, max] pair\n"
