@@ -41,7 +41,7 @@ __all__ = [
     "Relation", "Violation", "CheckResult", "PairFamily", "HMReport",
     "DEFAULT_FAMILY_CAP", "BC_FRAGMENTS", "check_structural",
     "greatest_structural", "definable_pairs", "check_bc", "modal_equiv",
-    "hennessy_milner", "relation_to_dict", "relation_from_dict",
+    "hennessy_milner", "block_unions", "relation_to_dict", "relation_from_dict",
 ]
 
 DEFAULT_FAMILY_CAP = 4096
@@ -292,6 +292,27 @@ def _block_masks(block: list) -> list:
     return masks
 
 
+def _unions(masks: list, within: int = -1) -> list:
+    """Every union of the masks that meet within, each cut to within."""
+    got = [0]
+    for m in masks:
+        if m & within:
+            got += [u | m & within for u in got]
+    return got
+
+
+def block_unions(left: Model, right: Model, fragment: Fragment) -> frozenset:
+    """Every union of blocks of the fragment's modal-equivalence partition
+    of the two models, as a pair of truth sets: the definable-pair family,
+    found without its closure."""
+    _require_static(left, right, fragment)
+    li, ri = left.index, right.index
+    off = len(li.states)
+    return frozenset(
+        (li.names(u & (1 << off) - 1), ri.names(u >> off))
+        for u in _unions(_block_masks(_partition(left, right, fragment.operators))))
+
+
 def _same_block(left: Model, right: Model, block: list) -> Relation:
     off = len(left.states)
     return Relation(left, right, frozenset(
@@ -451,26 +472,27 @@ def check_bc(rel: Relation, fragment: Fragment,
     the violation.  A ``family`` passed in is read instead.
     """
     ops = _bc_fragment(fragment)
-    base = check_structural(rel, Fragment(ops - {"Bc"}))
+    block = _partition(rel.left, rel.right, ops) if family is None else None
+    return _check_bc_blocks(rel, fragment, block, cap, family)
+
+
+def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list | None,
+                     cap: int, family: PairFamily | None = None) -> CheckResult:
+    """The structural clauses of the fragment's other operators, then the
+    Bc clauses: over ``family`` when one is given, else over the unions of
+    the partition's blocks, of which there may be at most cap.  The family
+    is then built only to name a failing relation's violation."""
+    base = check_structural(rel, Fragment(fragment.operators - {"Bc"}))
     if not base.ok:
         return base
-    if family is not None:
-        return _family_violation(rel, family)
-    return _bc_over_blocks(rel, fragment, _partition(rel.left, rel.right, ops), cap)
-
-
-def _bc_over_blocks(rel: Relation, fragment: Fragment, block: list,
-                    cap: int) -> CheckResult:
-    """The Bc clauses of rel, with the condition ranging over the unions of
-    the partition's blocks, of which there may be at most cap.  The family
-    itself is built only to name a failing relation's violation."""
-    if 1 << len(_block_masks(block)) > cap:
-        raise ResourceLimitError(
-            f"definable pair family exceeded cap of {cap} pairs", cap=cap)
-    if _bc_clauses_hold(rel, block):
-        return CheckResult(True)
-    return _family_violation(
-        rel, definable_pairs(rel.left, rel.right, fragment, cap=cap))
+    if family is None:
+        if 1 << (max(block, default=-1) + 1) > cap:
+            raise ResourceLimitError(
+                f"definable pair family exceeded cap of {cap} pairs", cap=cap)
+        if _bc_clauses_hold(rel, block):
+            return CheckResult(True)
+        family = definable_pairs(rel.left, rel.right, fragment, cap=cap)
+    return _family_violation(rel, family)
 
 
 def _bc_clauses_hold(rel: Relation, block: list) -> bool:
@@ -491,14 +513,9 @@ def _bc_clauses_hold(rel: Relation, block: list) -> bool:
             if key in seen:
                 continue
             seen.add(key)
-            local = l_row | r_row << off
-            conds = [0]
-            for m in masks:
-                if m & local:
-                    conds += [c | m & local for c in conds]
             if any(_unmatched(li.least(key[1], c & l_row),
                               ri.least(key[3], c >> off), l_img, r_img)
-                   for c in conds):
+                   for c in _unions(masks, l_row | r_row << off)):
                 return False
     return True
 
@@ -567,7 +584,5 @@ def hennessy_milner(left: Model, right: Model,
     _require_same_agents(left, right)
     block = _partition(left, right, fragment.operators)
     rel = _same_block(left, right, block)
-    res = check_structural(rel, Fragment.of("K"))
-    if res.ok:
-        res = _bc_over_blocks(rel, fragment, block, cap)
+    res = _check_bc_blocks(rel, fragment, block, cap)
     return HMReport(res.ok, rel, res.violation)

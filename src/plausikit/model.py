@@ -279,10 +279,9 @@ class Index:
     def _own_rows(self, agent: str) -> list:
         """(w, below, above) per live state w: the states of w's class at
         least as plausible as w, and those w is at least as plausible as,
-        under the order w holds.  Where that order is unbuilt and far larger
-        than the class, a model's index tests the pairs of w with its class
-        instead of building the order: two lookups per member against one
-        pass over every pair."""
+        under the order w holds.  Read off the order once it is built;
+        before that, a model's index tests the pairs of w with its class,
+        which needs only w's row of the order."""
         got = self._memo.get(("own", agent))
         if got is not None:
             return got
@@ -291,7 +290,7 @@ class Index:
             cls, name = rows[w], names[w]
             rel = (self._rels[1].get((agent, name))
                    if self._parent is None and (agent, w) not in self._memo else None)
-            if rel is None or len(rel) <= 8 * cls.bit_count():
+            if rel is None:
                 o = self.order(agent, w)
                 got.append((w, o.below[w], o.above[w]))
                 continue

@@ -17,9 +17,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bisim import (Relation, _block_masks, _partition, check_bc,
-                    check_structural, definable_pairs, greatest_structural,
-                    hennessy_milner)
+from .bisim import (Relation, block_unions, check_bc, check_structural,
+                    definable_pairs, greatest_structural, hennessy_milner)
 from .dynamics import announce, upgrade
 from .errors import InputError
 from .generate import GenSpec, generate, random_formula, rename_states
@@ -619,17 +618,6 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
         current = fresh
 
 
-def _block_unions(left: Model, right: Model, fragment: Fragment) -> set:
-    """Every union of blocks of the refined modal-equivalence partition, as
-    a truth-set pair."""
-    unions = {0}
-    for mask in _block_masks(_partition(left, right, fragment.operators)):
-        unions |= {u | mask for u in unions}
-    off = len(left.states)
-    li, ri = left.index, right.index
-    return {(li.names(u & (1 << off) - 1), ri.names(u >> off)) for u in unions}
-
-
 def _pairfamily_suite(report):
     fragment = Fragment.of("K", "Bc")
     enum_cache = {}
@@ -648,7 +636,7 @@ def _pairfamily_suite(report):
                 f"only_oracle={len(oracle - family_set)}",
                 (left, right)))
             continue
-        unions = _block_unions(left, right, fragment)
+        unions = block_unions(left, right, fragment)
         if family_set != unions:
             report.failures.append(_blame(
                 trial, trial_seed,

@@ -359,10 +359,10 @@ def test_modal_equiv_is_agreement_on_the_family_in_every_static_fragment(pair):
 @settings(max_examples=40, deadline=None)
 @given(model_pairs())
 def test_family_is_the_unions_of_the_refined_blocks(pair):
-    from plausikit.suites import _block_unions
+    from plausikit.bisim import block_unions
     left, right = pair
     for frag in STATIC_FRAGMENTS:
-        assert set(definable_pairs(left, right, frag).pairs) == _block_unions(
+        assert set(definable_pairs(left, right, frag).pairs) == block_unions(
             left, right, frag), frag
 
 

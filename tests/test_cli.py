@@ -416,7 +416,8 @@ def test_equiv_past_the_family_cap_gives_a_verdict_quickly(capsys, tmp_path):
         times.append(time.perf_counter() - t0)
         # t1 shares s1's atoms, but the left class has a state with no atom
         assert (code, out, err) == (1, "false\n", "")
-    assert min(times) < 0.05
+    # a verdict takes milliseconds; building the family took 0.45 s and exit 3
+    assert min(times) < 1.0
     code, out, _ = run(capsys, "equiv", rp, "t0", rp, "t1", "--fragment", "K,Bc")
     assert (code, out) == (0, "true\n")
 

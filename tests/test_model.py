@@ -410,11 +410,11 @@ def test_malformed_pair_reported_with_its_place(pairs, bad):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_targets_read_off_the_pairs_equal_targets_read_off_built_orders(seed):
-    """An index whose orders are unbuilt and much larger than the classes
-    tests each state's pairs with its class; the targets must be those read
-    off the built orders."""
+    """An index whose orders are unbuilt tests each state's pairs with its
+    class; the targets must be those read off the built orders, and no
+    order gets built."""
     from plausikit import GenSpec, generate
-    m = generate(GenSpec(12, 12, 2, 2, seed=seed))
+    m = generate(GenSpec(2, 12, 2, 2, seed=seed))
 
     def fresh():
         return Model(m.states, m.agents, m.epist, m.plaus, m.valuation)
@@ -423,10 +423,8 @@ def test_targets_read_off_the_pairs_equal_targets_read_off_built_orders(seed):
     for a in m.agents:
         for w in range(len(m.states)):
             built.order(a, w)
-    big = [(a, w) for a in m.agents for w in range(len(m.states))
-           if len(m.plaus[(a, m.states[w])]) > 8 * bin(lazy.rows(a)[w]).count("1")]
-    assert big
     for kind in ("Bplus", "Gt"):
         for a in m.agents:
             assert lazy.targets(kind, a) == built.targets(kind, a)
-    assert not any(key in lazy._memo for key in big)
+    assert not any((a, w) in lazy._memo
+                   for a in m.agents for w in range(len(m.states)))

@@ -159,9 +159,9 @@ def test_thm29_flags_an_upgrade_that_breaks_bisimilarity(monkeypatch):
 def test_pairfamily_flags_a_partition_that_merges_blocks(monkeypatch):
     """The suite compares the family with the unions of the refined blocks;
     an engine that puts every state in one block must fail it."""
-    from plausikit import suites
+    from plausikit import bisim
     assert run_suite("pairfamily", trials=5, seed=11).ok
-    monkeypatch.setattr(suites, "_partition", lambda left, right, ops: [0] * (
+    monkeypatch.setattr(bisim, "_partition", lambda left, right, ops: [0] * (
         len(left.states) + len(right.states)))
     report = run_suite("pairfamily", trials=5, seed=11)
     assert not report.ok
