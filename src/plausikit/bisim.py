@@ -19,7 +19,7 @@ Three kinds of procedure live here:
   The family is a Boolean algebra, so it is exactly the unions of the
   blocks of the modal-equivalence partition; refining from atom agreement
   finds those blocks without building the family.  Modal equivalence,
-  Hennessy-Milner, the greatest structural bisimulation and the
+  Hennessy-Milner, the greatest bisimulation of every notion and the
   conditional-belief check all read it.
 
 State sets are handled as bitmasks internally; the public surface speaks in
@@ -206,14 +206,22 @@ def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
 
 
 def greatest_structural(left: Model, right: Model, fragment: Fragment) -> Relation:
-    """Largest relation satisfying the structural clauses: the union of all
+    """Largest relation satisfying the fragment's clauses: the union of all
     such bisimulations.  It pairs the states that share a block of the
-    partition refined from atom agreement by the fragment's clauses."""
+    partition refined from atom agreement by the fragment's clauses.
+
+    The fragment is structural or one of ``BC_FRAGMENTS``.  For the latter
+    the blocks are stable under the Bc signature, so the relation passes
+    :func:`check_bc`; and every bisimulation preserves the fragment's
+    formulas, so it lies inside this modal-equivalence relation."""
     _require_same_agents(left, right)
-    bad = fragment.operators - frozenset(_STRUCTURAL_KINDS)
-    if bad:
-        raise InputError(f"not structural notions: {sorted(bad)}")
-    return _same_block(left, right, _partition(left, right, fragment.operators))
+    ops = fragment.operators
+    if not ops <= frozenset(_STRUCTURAL_KINDS) and ops not in BC_FRAGMENTS:
+        raise InputError(
+            "greatest bisimulations are computed for the structural notions "
+            "K, Bplus, Gt and for the fragments Bc, K+Bc and K+Bplus+Bc; "
+            "got " + str(fragment))
+    return _same_block(left, right, _partition(left, right, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +458,8 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
 # ---------------------------------------------------------------------------
 # Conditional-belief notion, equivalence, Hennessy-Milner
 
-def _bc_fragment(fragment: Fragment) -> frozenset:
-    if fragment.operators not in BC_FRAGMENTS:
-        raise InputError(
-            "conditional-belief bisimulation is defined for the fragments "
-            "Bc, K+Bc and K+Bplus+Bc; got " + str(fragment))
-    return fragment.operators
-
-
 def check_bc(rel: Relation, fragment: Fragment,
-             cap: int = DEFAULT_FAMILY_CAP,
-             family: PairFamily | None = None) -> CheckResult:
+             cap: int = DEFAULT_FAMILY_CAP) -> CheckResult:
     """Check the conditional-belief zig and zag clauses with the condition
     quantifier ranging over the definable-pair family of the fragment, plus
     the structural clauses of any other operators in the fragment.
@@ -469,75 +468,59 @@ def check_bc(rel: Relation, fragment: Fragment,
     partition; more than ``cap`` of them raises
     :class:`ResourceLimitError`.  The clauses are decided over those
     unions, and the family itself is built only when one fails, to report
-    the violation.  A ``family`` passed in is read instead.
+    the violation.
     """
-    ops = _bc_fragment(fragment)
-    block = _partition(rel.left, rel.right, ops) if family is None else None
-    return _check_bc_blocks(rel, fragment, block, cap, family)
+    if fragment.operators not in BC_FRAGMENTS:
+        raise InputError(
+            "conditional-belief bisimulation is defined for the fragments "
+            "Bc, K+Bc and K+Bplus+Bc; got " + str(fragment))
+    block = _partition(rel.left, rel.right, fragment.operators)
+    return _check_bc_blocks(rel, fragment, block, cap)
 
 
-def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list | None,
-                     cap: int, family: PairFamily | None = None) -> CheckResult:
+def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list,
+                     cap: int) -> CheckResult:
     """The structural clauses of the fragment's other operators, then the
-    Bc clauses: over ``family`` when one is given, else over the unions of
-    the partition's blocks, of which there may be at most cap.  The family
-    is then built only to name a failing relation's violation."""
+    Bc clauses at each pair and agent, in order, for every condition that
+    is a union of the partition's blocks, of which there may be at most
+    cap.  Only the unions of the blocks meeting the two classes matter, and
+    each distinct (class, order, class, order) is tried once.  At the first
+    pair and agent that fails, the family is built and its members are
+    scanned there in order, to name the condition: the family holds the
+    same pairs as the unions, so this is the family scan's first violation."""
     base = check_structural(rel, Fragment(fragment.operators - {"Bc"}))
     if not base.ok:
         return base
-    if family is None:
-        if 1 << (max(block, default=-1) + 1) > cap:
-            raise ResourceLimitError(
-                f"definable pair family exceeded cap of {cap} pairs", cap=cap)
-        if _bc_clauses_hold(rel, block):
-            return CheckResult(True)
-        family = definable_pairs(rel.left, rel.right, fragment, cap=cap)
-    return _family_violation(rel, family)
-
-
-def _bc_clauses_hold(rel: Relation, block: list) -> bool:
-    """Do the Bc zig and zag clauses hold at every pair of rel, for every
-    condition that is a union of blocks?  At a pair only the blocks meeting
-    the two classes matter, so only their unions are tried, once per
-    distinct (class, order, class, order)."""
+    if 1 << (max(block, default=-1) + 1) > cap:
+        raise ResourceLimitError(
+            f"definable pair family exceeded cap of {cap} pairs", cap=cap)
     li, ri = rel.left.index, rel.right.index
     off = len(li.states)
     l_img, r_img = _images(rel)
     masks = _block_masks(block)
     seen = set()
-    for w, v in rel.pairs:
+    for w, v in rel.sorted_pairs():
         wi, vi = li.pos[w], ri.pos[v]
         for agent in rel.left.agents:
             l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
-            key = (l_row, li.order(agent, wi), r_row, ri.order(agent, vi))
+            l_ord, r_ord = li.order(agent, wi), ri.order(agent, vi)
+            key = (l_row, l_ord, r_row, r_ord)
             if key in seen:
                 continue
             seen.add(key)
-            if any(_unmatched(li.least(key[1], c & l_row),
-                              ri.least(key[3], c >> off), l_img, r_img)
-                   for c in _unions(masks, l_row | r_row << off)):
-                return False
-    return True
 
-
-def _family_violation(rel: Relation, family: PairFamily) -> CheckResult:
-    """The first Bc clause of rel to fail, scanning pairs, agents and the
-    family's members in order; ok when none does."""
-    left, right = rel.left, rel.right
-    li, ri = left.index, right.index
-    l_img, r_img = _images(rel)
-    conds = [(li.mask(ls), ri.mask(rs)) for ls, rs in family.pairs]
-
-    for w, v in rel.sorted_pairs():
-        wi, vi = li.pos[w], ri.pos[v]
-        for agent in left.agents:
-            l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
-            l_ord, r_ord = li.order(agent, wi), ri.order(agent, vi)
-            for k, (lc, rc) in enumerate(conds):
-                miss = _unmatched(li.least(l_ord, lc & l_row),
+            def miss(lc, rc):
+                return _unmatched(li.least(l_ord, lc & l_row),
                                   ri.least(r_ord, rc & r_row), l_img, r_img)
-                if miss:
-                    side, x = miss
+
+            if not any(miss(c, c >> off)
+                       for c in _unions(masks, l_row | r_row << off)):
+                continue
+            family = definable_pairs(rel.left, rel.right, fragment, cap=cap)
+            for k, (ls, rs) in enumerate(family.pairs):
+                found = miss(li.mask(ls), ri.mask(rs))
+                if found:
+                    side, x = found
                     names = li.states if side == "zig" else ri.states
                     return CheckResult(False, Violation(
                         f"Bc-{side}", (w, v), agent=agent, state=names[x],
@@ -546,22 +529,18 @@ def _family_violation(rel: Relation, family: PairFamily) -> CheckResult:
 
 
 def modal_equiv(left: Model, w: str, right: Model, v: str,
-                fragment: Fragment, cap: int = DEFAULT_FAMILY_CAP,
-                family: PairFamily | None = None) -> bool:
+                fragment: Fragment) -> bool:
     """Do w and v satisfy exactly the same formulas of the fragment?
 
     Decided exactly on finite models: the two states agree on every formula
     of the static fragment iff they agree on every definable truth-set pair,
     that is, iff they share a block of the modal-equivalence partition.
-    The partition is refined directly and the family is never built, so
-    ``cap`` does not bind.  A ``family`` passed in is read instead.
+    The partition is refined directly and the family is never built.
     """
     if w not in left.states:
         raise InputError(f"unknown state {w!r}")
     if v not in right.states:
         raise InputError(f"unknown state {v!r}")
-    if family is not None:
-        return family.agree(w, v)
     _require_static(left, right, fragment)
     block = _partition(left, right, fragment.operators)
     off = len(left.states)

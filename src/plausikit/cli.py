@@ -94,10 +94,6 @@ def _cmd_bisim(ns) -> int:
     if ns.greatest and ns.relation:
         raise InputError("--greatest and --relation are mutually exclusive")
     if ns.greatest:
-        if "Bc" in frag:
-            raise InputError(
-                "--greatest only computes structural notions; drop Bc or "
-                "check a concrete relation with --relation")
         z = greatest_structural(left, right, frag)
         for w, v in z.sorted_pairs():
             print(f"{w} {v}")

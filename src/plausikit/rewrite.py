@@ -73,11 +73,17 @@ def subterm_at(f: Formula, path: tuple) -> Formula:
 
 
 def replace_at(f: Formula, path: tuple, new: Formula) -> Formula:
-    if not path:
-        return new
-    kids = list(children(f))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return rebuild(f, tuple(kids))
+    """f with the subterm at path replaced by new.  The path is walked with
+    a loop and the spine rebuilt bottom-up, so depth costs no recursion."""
+    spine = []
+    for i in path:
+        spine.append(f)
+        f = children(f)[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = list(children(node))
+        kids[i] = new
+        new = rebuild(node, tuple(kids))
+    return new
 
 
 def replay(f: Formula, trace: RewriteTrace) -> Formula:

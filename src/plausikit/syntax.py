@@ -227,7 +227,6 @@ def has_dynamic(f: Formula) -> bool:
 # Fragments
 
 OPERATOR_KINDS = ("K", "Bc", "Bplus", "Gt", "Ann", "Up")
-_STATIC_KINDS = frozenset({"K", "Bc", "Bplus", "Gt"})
 
 
 @dataclass(frozen=True)
@@ -268,9 +267,6 @@ class Fragment:
     def __str__(self) -> str:
         return ",".join(self) if self.operators else "(boolean)"
 
-
-FULL_FRAGMENT = Fragment.of(*OPERATOR_KINDS)
-STATIC_FRAGMENT = Fragment.of("K", "Bc", "Bplus", "Gt")
 
 _KIND_OF_NODE = {
     Know: "K",

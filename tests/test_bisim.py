@@ -224,12 +224,12 @@ def test_family_checker_never_accepts_what_formulas_refute(left, right):
                for p in atoms))
     candidates.append(Relation(left, right, respecting))
     for rel in candidates:
-        ok = check_bc(rel, KBC, family=fam).ok
+        ok = check_bc(rel, KBC).ok
         refuted = _formula_quantifier_violates(rel, alphas)
         if ok:
             assert not refuted
     # the equivalence relation itself must be accepted on finite models
-    assert check_bc(candidates[0], KBC, family=fam).ok
+    assert check_bc(candidates[0], KBC).ok
 
 
 def test_breaking_a_bisimulation_is_detected():
@@ -422,14 +422,35 @@ def test_check_bc_caps_at_the_family_size():
         assert err.value.cap == size - 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(model_pairs(), st.data())
+def test_greatest_bc_bisimulation_is_the_equivalence_relation(pair, data):
+    left, right = pair
+    every = [(w, v) for w in left.states for v in right.states]
+    for ops in BC_FRAGMENTS:
+        frag = Fragment(ops)
+        z = greatest_structural(left, right, frag)
+        fam = definable_pairs(left, right, frag)
+        assert z.pairs == frozenset((w, v) for w, v in every if fam.agree(w, v))
+        assert check_bc(z, frag).ok
+        drawn = frozenset(data.draw(st.sets(st.sampled_from(every))))
+        for pairs in (drawn, drawn | z.pairs):
+            if ref_check_bc(Relation(left, right, pairs), frag).ok:
+                assert pairs <= z.pairs, (frag, sorted(pairs))
+
+
 def test_equivalence_and_true_checks_never_build_the_family(monkeypatch):
     import plausikit.bisim as bisim_mod
-    from plausikit import GenSpec, generate, rename_states
+    import plausikit.suites as suites_mod
+    from plausikit import GenSpec, generate, rename_states, run_suite
 
     def forbidden(*args, **kwargs):
         raise AssertionError("definable_pairs was called")
 
     monkeypatch.setattr(bisim_mod, "definable_pairs", forbidden)
+    monkeypatch.setattr(suites_mod, "definable_pairs", forbidden)
+    for name in ("thm9-Bc", "thm11-KBc"):
+        assert run_suite(name, trials=1, seed=3).ok
     for seed in range(6):
         left = generate(GenSpec(3, 6, 2, 2, seed=seed))
         right = rename_states(left)
@@ -439,3 +460,4 @@ def test_equivalence_and_true_checks_never_build_the_family(monkeypatch):
         iso = Relation(left, right, frozenset((w, "x" + w) for w in left.states))
         for ops in BC_FRAGMENTS:
             assert check_bc(iso, Fragment(ops)).ok
+            assert iso.pairs <= greatest_structural(left, right, Fragment(ops)).pairs

@@ -166,11 +166,18 @@ class TestBisim:
         assert "w wr" in out.splitlines()
         assert "v vr" in out.splitlines()
 
-    def test_greatest_with_bc_exits_2(self, corpus_files, capsys):
+    def test_greatest_with_bc_prints_the_equivalence_pairs(self, corpus_files,
+                                                           capsys):
         left, right, _ = corpus_files["thm15"]
-        code, _, err = run(capsys, "bisim", left, right,
+        code, out, _ = run(capsys, "bisim", left, right,
                            "--fragment", "K,Bc", "--greatest")
+        assert code == 0
+        assert "v vr" in out.splitlines()
+        assert "w wr" in out.splitlines()
+        code, _, err = run(capsys, "bisim", left, right,
+                           "--fragment", "K,Gt,Bc", "--greatest")
         assert code == 2
+        assert "Bc, K+Bc and K+Bplus+Bc" in err
 
     def test_dynamic_fragment_dropped_with_notice(self, corpus_files, capsys):
         left, right, z = corpus_files["thm15"]

@@ -60,6 +60,18 @@ class TestReduceDynamic:
                 checked_steps += 1
         assert checked_steps > 100
 
+    def test_replay_follows_paths_deeper_than_the_recursion_limit(self):
+        from plausikit import Announce, Upgrade
+        deep = Announce(Atom("p"), Atom("q"))
+        for _ in range(3000):
+            deep = Not(deep)
+        under = Atom("q")
+        for _ in range(3000):
+            under = Not(under)
+        for f in (deep, Upgrade(Atom("p"), under)):
+            out, trace = reduce_dynamic(f)
+            assert replay(f, trace) == out
+
     def test_replay_rejects_a_mismatched_trace(self):
         _, trace = reduce_dynamic(parse("[! p] q"))
         with pytest.raises(InputError):
