@@ -474,6 +474,7 @@ def check_bc(rel: Relation, fragment: Fragment,
         raise InputError(
             "conditional-belief bisimulation is defined for the fragments "
             "Bc, K+Bc and K+Bplus+Bc; got " + str(fragment))
+    _require_same_agents(rel.left, rel.right)
     block = _partition(rel.left, rel.right, fragment.operators)
     return _check_bc_blocks(rel, fragment, block, cap)
 
@@ -554,8 +555,7 @@ class HMReport:
     violation: Violation | None = None
 
 
-def hennessy_milner(left: Model, right: Model,
-                    cap: int = DEFAULT_FAMILY_CAP) -> HMReport:
+def hennessy_milner(left: Model, right: Model) -> HMReport:
     """Compute the K+Bc modal-equivalence relation between two models and
     verify it is itself a K+Bc bisimulation.  On finite models this must
     succeed; a failure report means the toolkit itself is broken."""
@@ -563,5 +563,5 @@ def hennessy_milner(left: Model, right: Model,
     _require_same_agents(left, right)
     block = _partition(left, right, fragment.operators)
     rel = _same_block(left, right, block)
-    res = _check_bc_blocks(rel, fragment, block, cap)
+    res = _check_bc_blocks(rel, fragment, block, DEFAULT_FAMILY_CAP)
     return HMReport(res.ok, rel, res.violation)

@@ -9,6 +9,8 @@ is contracted and its result normalised in place.  A subtree that holds a
 dynamic node holds a redex, so this is the order in which a search for the
 first redex in preorder, repeated after each step, would contract them.
 Each contraction is recorded so the whole run can be replayed and audited.
+``translate_gt`` and ``translate_safe`` run the same pass with conditional
+belief as the redex and its one-node unfolding as the contraction.
 
 Termination measure (strictly decreased by every contraction): the pair
 
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from .errors import InputError
 from .syntax import (_BINARY, _DYNAMIC, And, Announce, Atom, Bot, CondBelief,
                      Formula, GtBox, Implies, Know, Not, Or, SafeBelief, Top,
-                     Upgrade, children, format_formula, formula_size,
-                     fragment_of, gt_dia, khat, rebuild)
+                     children, format_formula, fragment_of, gt_dia, khat,
+                     rebuild, walk)
 
 __all__ = [
     "RewriteStep", "RewriteTrace", "reduce_dynamic", "replay",
@@ -102,101 +104,79 @@ def rewrite_measure(f: Formula):
     """The documented termination measure; see the module docstring."""
     blocked = 0
     open_sizes = []
-
-    def walk(g: Formula) -> int:
-        inner = sum(walk(k) for k in children(g))
+    done = []  # (depth, size, holds a dynamic node) of finished subtrees
+    for g, d in reversed(list(walk(f))):
+        size, dynamic = 1, False
+        while done and done[-1][0] > d:  # g's children
+            _, kid_size, kid_dynamic = done.pop()
+            size += kid_size
+            dynamic = dynamic or kid_dynamic
         if isinstance(g, _DYNAMIC):
-            if inner:
-                nonlocal blocked
+            if dynamic:
                 blocked += 1
             else:
-                open_sizes.append(formula_size(g))
-            return inner + 1
-        return inner
-
-    walk(f)
+                open_sizes.append(size)
+            dynamic = True
+        done.append((d, size, dynamic))
     return (blocked, tuple(sorted(open_sizes, reverse=True)))
 
 
+_SHAPE = {Atom: "atom", Top: "atom", Bot: "atom", Not: "not", And: "and",
+          Or: "or", Implies: "implies", Know: "know",
+          CondBelief: "cond-belief", SafeBelief: "safe-belief", GtBox: "gt"}
+
+
 def _contract(red: Formula):
-    """One-step elimination of a dynamic-free redex; returns (rule, result)."""
-    if isinstance(red, Announce):
-        phi, body = red.ann, red.sub
-        wrap = lambda g: Announce(phi, g)
-        if isinstance(body, (Atom, Top, Bot)):
-            return "ann-atom", Implies(phi, body)
-        if isinstance(body, Not):
-            return "ann-not", Implies(phi, Not(wrap(body.sub)))
-        if isinstance(body, _BINARY):
-            return (f"ann-{type(body).__name__.lower()}",
-                    type(body)(wrap(body.left), wrap(body.right)))
-        if isinstance(body, Know):
-            return "ann-know", Implies(phi, Know(body.agent, wrap(body.sub)))
-        if isinstance(body, CondBelief):
-            cond = And(phi, wrap(body.cond))
-            return "ann-cond-belief", Implies(
-                phi, CondBelief(body.agent, cond, wrap(body.sub)))
-        if isinstance(body, SafeBelief):
-            return "ann-safe-belief", Implies(phi, SafeBelief(body.agent, wrap(body.sub)))
-        if isinstance(body, GtBox):
-            return "ann-gt", Implies(phi, GtBox(body.agent, wrap(body.sub)))
+    """One-step elimination of a dynamic-free redex; returns (rule, result).
+    These are the reduction axioms, one per operand shape; the fact5 and
+    fact30 suites check their instances."""
+    if not isinstance(red, _DYNAMIC):
+        raise AssertionError(f"not a dynamic node: {red!r}")
+    phi, body = children(red)
+    wrap = lambda g: type(red)(phi, g)
+    ann = isinstance(red, Announce)
+    if type(body) not in _SHAPE:
         raise AssertionError("redex operand contains a dynamic node")
-    if isinstance(red, Upgrade):
-        phi, body = red.up, red.sub
-        wrap = lambda g: Upgrade(phi, g)
-        if isinstance(body, (Atom, Top, Bot)):
-            return "up-atom", body
-        if isinstance(body, Not):
-            return "up-not", Not(wrap(body.sub))
-        if isinstance(body, _BINARY):
-            return (f"up-{type(body).__name__.lower()}",
-                    type(body)(wrap(body.left), wrap(body.right)))
-        if isinstance(body, Know):
-            return "up-know", Know(body.agent, wrap(body.sub))
-        if isinstance(body, CondBelief):
-            i = body.agent
-            heard = And(phi, wrap(body.cond))
-            new_body = wrap(body.sub)
-            return "up-cond-belief", Or(
-                And(khat(i, heard), CondBelief(i, heard, new_body)),
-                And(Not(khat(i, heard)), CondBelief(i, wrap(body.cond), new_body)))
-        if isinstance(body, SafeBelief):
-            i = body.agent
-            new_body = wrap(body.sub)
-            return "up-safe-belief", And(
-                Implies(phi, SafeBelief(i, Implies(phi, new_body))),
-                Implies(Not(phi), And(
-                    SafeBelief(i, Implies(Not(phi), new_body)),
-                    Know(i, Implies(phi, new_body)))))
-        if isinstance(body, GtBox):
-            i = body.agent
-            new_body = wrap(body.sub)
-            return "up-gt", And(
-                Implies(phi, GtBox(i, Implies(phi, new_body))),
-                Implies(Not(phi), And(
-                    GtBox(i, Implies(Not(phi), new_body)),
-                    Know(i, Implies(phi, new_body)))))
-        raise AssertionError("redex operand contains a dynamic node")
-    raise AssertionError(f"not a dynamic node: {red!r}")
+    rule = ("ann-" if ann else "up-") + _SHAPE[type(body)]
+    if isinstance(body, _BINARY):
+        return rule, type(body)(wrap(body.left), wrap(body.right))
+    if isinstance(body, (Atom, Top, Bot)):
+        out = body
+    elif isinstance(body, Not):
+        out = Not(wrap(body.sub))
+    elif isinstance(body, CondBelief):
+        i, cond, new_body = body.agent, wrap(body.cond), wrap(body.sub)
+        heard = And(phi, cond)
+        out = CondBelief(i, heard, new_body)
+        if not ann:
+            return rule, Or(And(khat(i, heard), out),
+                            And(Not(khat(i, heard)), CondBelief(i, cond, new_body)))
+    elif ann or isinstance(body, Know):  # a box over the wrapped operand
+        out = type(body)(body.agent, wrap(body.sub))
+    else:  # an upgrade over Bplus or Gt
+        i, box, new_body = body.agent, type(body), wrap(body.sub)
+        return rule, And(
+            Implies(phi, box(i, Implies(phi, new_body))),
+            Implies(Not(phi), And(box(i, Implies(Not(phi), new_body)),
+                                  Know(i, Implies(phi, new_body)))))
+    return rule, Implies(phi, out) if ann else out
 
 
-def reduce_dynamic(f: Formula):
-    """Rewrite away every announcement and upgrade operator.
-
-    Returns (static formula, trace).  The result is equivalent to the input
-    on every model; the property suite checks this rather than assuming it.
-    The pass keeps an explicit stack, so the depth of f is not bounded by
-    Python's recursion.
-    """
+def _normalise(f: Formula, kind, contract):
+    """Contract every node of the given kind, innermost first, in one
+    post-order pass; returns (normal form, steps).  ``contract`` maps a
+    node of that kind whose children hold none to (rule, result).  The pass
+    keeps an explicit stack, so the depth of f is not bounded by Python's
+    recursion."""
     steps = []
-    static = {}  # id -> node known to be static; the values keep ids in use
+    normal = {}  # id -> node known to be normal; the values keep ids in use
     stack = [(f, (), [])]  # node, its path, normal forms of its first kids
     while True:
         g, path, kids = stack[-1]
         parts = g._parts
         if len(kids) < len(parts):
             kid = getattr(g, parts[len(kids)])
-            if id(kid) in static:
+            if id(kid) in normal:
                 kids.append(kid)
             else:
                 stack.append((kid, path + (len(kids),), []))
@@ -204,19 +184,42 @@ def reduce_dynamic(f: Formula):
         stack.pop()
         if any(new is not getattr(g, name) for new, name in zip(kids, parts)):
             g = rebuild(g, tuple(kids))
-        if isinstance(g, _DYNAMIC):
-            rule, out = _contract(g)
+        if isinstance(g, kind):
+            rule, out = contract(g)
             steps.append(RewriteStep(path, rule, g, out))
             stack.append((out, path, []))
             continue
-        static[id(g)] = g
+        normal[id(g)] = g
         if not stack:
-            return g, RewriteTrace(tuple(steps))
+            return g, steps
         stack[-1][2].append(g)
+
+
+def reduce_dynamic(f: Formula):
+    """Rewrite away every announcement and upgrade operator.
+
+    Returns (static formula, trace).  The result is equivalent to the input
+    on every model; the property suite checks this rather than assuming it.
+    """
+    g, steps = _normalise(f, _DYNAMIC, _contract)
+    return g, RewriteTrace(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
 # Conditional-belief elimination
+
+def _unfold_gt(b: CondBelief):
+    """``B[i | c] f`` by knowledge and the strict-plausibility box."""
+    i, c = b.agent, b.cond
+    return "bc-gt", Know(i, Implies(And(c, Not(gt_dia(i, c))), b.sub))
+
+
+def _unfold_safe(b: CondBelief):
+    """``B[i | c] f`` by knowledge and safe belief."""
+    i, c = b.agent, b.cond
+    return "bc-safe", Implies(
+        khat(i, c), khat(i, And(c, SafeBelief(i, Implies(c, b.sub)))))
+
 
 def translate_gt(f: Formula) -> Formula:
     """Replace every conditional-belief operator using knowledge and the
@@ -227,15 +230,7 @@ def translate_gt(f: Formula) -> Formula:
     if not frag.operators <= frozenset({"K", "Bc"}):
         raise InputError(
             f"translate_gt expects a static K/Bc formula, got fragment {frag}")
-    return _tg(f)
-
-
-def _tg(f: Formula) -> Formula:
-    if isinstance(f, CondBelief):
-        cond = _tg(f.cond)
-        body = _tg(f.sub)
-        return Know(f.agent, Implies(And(cond, Not(gt_dia(f.agent, cond))), body))
-    return rebuild(f, tuple(_tg(k) for k in children(f)))
+    return _normalise(f, CondBelief, _unfold_gt)[0]
 
 
 def translate_safe(f: Formula) -> Formula:
@@ -246,15 +241,4 @@ def translate_safe(f: Formula) -> Formula:
     if not frag.operators <= frozenset({"K", "Bc", "Bplus"}):
         raise InputError(
             f"translate_safe expects a static K/Bc/Bplus formula, got fragment {frag}")
-    return _ts(f)
-
-
-def _ts(f: Formula) -> Formula:
-    if isinstance(f, CondBelief):
-        cond = _ts(f.cond)
-        body = _ts(f.sub)
-        i = f.agent
-        return Implies(
-            khat(i, cond),
-            khat(i, And(cond, SafeBelief(i, Implies(cond, body)))))
-    return rebuild(f, tuple(_ts(k) for k in children(f)))
+    return _normalise(f, CondBelief, _unfold_safe)[0]

@@ -24,12 +24,11 @@ from .errors import InputError
 from .generate import GenSpec, generate, random_formula, rename_states
 from .model import (Model, identity_pairs, is_locally_connected, is_uniform,
                     validate)
-from .rewrite import reduce_dynamic
+from .rewrite import _contract, _unfold_gt, _unfold_safe, reduce_dynamic
 from .semantics import Evaluator, is_valid_on, truth_set
-from .syntax import (And, Announce, Atom, CondBelief, Fragment, GtBox,
-                     Implies, Know, Not, Or, SafeBelief, Top, Upgrade,
-                     enumerate_formulas, format_formula, has_dynamic, iff,
-                     khat, gt_dia)
+from .syntax import (Announce, Atom, CondBelief, Fragment, GtBox, Implies,
+                     Know, Not, SafeBelief, Top, Upgrade, enumerate_formulas,
+                     format_formula, has_dynamic, iff)
 
 __all__ = ["SuiteReport", "run_suite", "suite_names", "DEFAULT_SEED"]
 
@@ -121,15 +120,14 @@ def _agreement_failures(left, right, pairs, formulas, trial, trial_seed):
 # Bisimilarity implies equivalence
 
 def _equivalence_suite(report, bisim_fragment, formula_fragment,
-                       sizes=(2, 5), agents=2, atoms=2,
-                       uniform=False, locally_connected=False,
-                       samples=12, depth=3):
+                       sizes=(2, 5), uniform=False, locally_connected=False):
     """Build the greatest bisimulation for the fragment, check it passes the
     fragment's own clauses (the quantified ones when Bc is in it), then
-    check formula agreement along it."""
+    check formula agreement along it, on 12 random formulas of depth 3 over
+    two agents and two atoms."""
     check = check_bc if "Bc" in bisim_fragment else check_structural
     for trial, trial_seed, trng in _trials(report):
-        left, right = _model_pair(trng, sizes[0], sizes[1], agents, atoms,
+        left, right = _model_pair(trng, sizes[0], sizes[1], 2, 2,
                                   uniform=uniform,
                                   locally_connected=locally_connected)
         z = greatest_structural(left, right, bisim_fragment)
@@ -141,19 +139,18 @@ def _equivalence_suite(report, bisim_fragment, formula_fragment,
                 (left, right)))
             continue
         formulas = [random_formula(trng, sorted(left.valuation), left.agents,
-                                   formula_fragment, depth)
-                    for _ in range(samples)]
+                                   formula_fragment, 3)
+                    for _ in range(12)]
         report.failures.extend(_agreement_failures(
             left, right, z.pairs, formulas, trial, trial_seed))
 
 
-def _containment_suite(report, structural_fragment, locally_connected,
-                       sizes=(2, 3)):
+def _containment_suite(report, structural_fragment, locally_connected):
     """On uniform (optionally locally connected) pairs, the greatest
     structural relation must sit inside the K+Bc equivalence relation, which
     itself must pass the quantified check."""
     for trial, trial_seed, trng in _trials(report):
-        left, right = _model_pair(trng, sizes[0], sizes[1], 2, 2, uniform=True,
+        left, right = _model_pair(trng, 2, 3, 2, 2, uniform=True,
                                   locally_connected=locally_connected)
         z = greatest_structural(left, right, structural_fragment)
         hm = hennessy_milner(left, right)
@@ -212,79 +209,34 @@ def _reduction_suite(report):
                 (m,), (f, reduced)))
 
 
-def _announce_schemas():
-    """The six announcement/upgrade biconditionals for the epistemic and
-    doxastic operators, as instance builders."""
-    def s_ann_know(i, phi, alpha, psi):
-        return iff(Announce(phi, Know(i, psi)),
-                   Implies(phi, Know(i, Announce(phi, psi))))
-
-    def s_ann_cond(i, phi, alpha, psi):
-        return iff(Announce(phi, CondBelief(i, alpha, psi)),
-                   Implies(phi, CondBelief(i, And(phi, Announce(phi, alpha)),
-                                           Announce(phi, psi))))
-
-    def s_ann_safe(i, phi, alpha, psi):
-        return iff(Announce(phi, SafeBelief(i, psi)),
-                   Implies(phi, SafeBelief(i, Announce(phi, psi))))
-
-    def s_up_know(i, phi, alpha, psi):
-        return iff(Upgrade(phi, Know(i, psi)), Know(i, Upgrade(phi, psi)))
-
-    def s_up_cond(i, phi, alpha, psi):
-        heard = And(phi, Upgrade(phi, alpha))
-        return iff(
-            Upgrade(phi, CondBelief(i, alpha, psi)),
-            Or(And(khat(i, heard), CondBelief(i, heard, Upgrade(phi, psi))),
-               And(Not(khat(i, heard)),
-                   CondBelief(i, Upgrade(phi, alpha), Upgrade(phi, psi)))))
-
-    def s_up_safe(i, phi, alpha, psi):
-        return iff(
-            Upgrade(phi, SafeBelief(i, psi)),
-            And(Implies(phi, SafeBelief(i, Implies(phi, Upgrade(phi, psi)))),
-                Implies(Not(phi), And(
-                    SafeBelief(i, Implies(Not(phi), Upgrade(phi, psi))),
-                    Know(i, Implies(phi, Upgrade(phi, psi)))))))
-
-    return [
-        ("announce-know", s_ann_know),
-        ("announce-cond-belief", s_ann_cond),
-        ("announce-safe-belief", s_ann_safe),
-        ("upgrade-know", s_up_know),
-        ("upgrade-cond-belief", s_up_cond),
-        ("upgrade-safe-belief", s_up_safe),
-    ]
-
-
-def _gt_schemas():
-    def s_ann_gt(i, phi, alpha, psi):
-        return iff(Announce(phi, GtBox(i, psi)),
-                   Implies(phi, GtBox(i, Announce(phi, psi))))
-
-    def s_up_gt(i, phi, alpha, psi):
-        return iff(
-            Upgrade(phi, GtBox(i, psi)),
-            And(Implies(phi, GtBox(i, Implies(phi, Upgrade(phi, psi)))),
-                Implies(Not(phi), And(
-                    GtBox(i, Implies(Not(phi), Upgrade(phi, psi))),
-                    Know(i, Implies(phi, Upgrade(phi, psi)))))))
-
-    return [("announce-gt", s_ann_gt), ("upgrade-gt", s_up_gt)]
+_FACT5 = [("announce-know", Announce, Know),
+          ("announce-cond-belief", Announce, CondBelief),
+          ("announce-safe-belief", Announce, SafeBelief),
+          ("upgrade-know", Upgrade, Know),
+          ("upgrade-cond-belief", Upgrade, CondBelief),
+          ("upgrade-safe-belief", Upgrade, SafeBelief)]
+_FACT30 = [("announce-gt", Announce, GtBox), ("upgrade-gt", Upgrade, GtBox)]
 
 
 def _schema_suite(report, schemas):
-    """``report.trials`` trials per schema, one schema after the other."""
+    """``report.trials`` trials per schema, one schema after the other.
+    A schema is a dynamic operator over a modal one; each trial checks
+    ``[dyn phi] op_i psi`` (``op_i`` taking ``alpha`` as its condition when
+    it is conditional belief) against the rewriter's contraction of it."""
     per_schema = report.trials
     report.trials = per_schema * len(schemas)
     static = Fragment.of("K", "Bc", "Bplus", "Gt")
     for trial, trial_seed, trng in _trials(report):
-        label, build = schemas[trial // per_schema]
+        label, dyn, op = schemas[trial // per_schema]
         m = generate(GenSpec(2, 4, 2, 2, seed=trng.getrandbits(48)))
         agent = trng.choice(m.agents)
-        args = [random_formula(trng, sorted(m.valuation), m.agents, static, 1)
-                for _ in range(3)]
-        instance = build(agent, *args)
+        phi, alpha, psi = [
+            random_formula(trng, sorted(m.valuation), m.agents, static, 1)
+            for _ in range(3)]
+        body = (CondBelief(agent, alpha, psi) if op is CondBelief
+                else op(agent, psi))
+        redex = dyn(phi, body)
+        instance = iff(redex, _contract(redex)[1])
         ok, bad = is_valid_on(m, instance)
         if not ok:
             report.failures.append(_blame(
@@ -408,17 +360,6 @@ def _static_depth2_formulas():
         ["p"], ["a"], Fragment.of("K", "Bc", "Bplus", "Gt"), 2))
 
 
-def _gt_translation_instance(agent, alpha, phi):
-    return iff(CondBelief(agent, alpha, phi),
-               Know(agent, Implies(And(alpha, Not(gt_dia(agent, alpha))), phi)))
-
-
-def _safe_translation_instance(agent, alpha, phi):
-    return iff(CondBelief(agent, alpha, phi),
-               Implies(khat(agent, alpha),
-                       khat(agent, And(alpha, SafeBelief(agent, Implies(alpha, phi))))))
-
-
 def _uniform_counterexample_model() -> Model:
     states = ["v", "w"]
     return Model(
@@ -440,9 +381,17 @@ def _connected_counterexample_model() -> Model:
     )
 
 
-def _translation_suite(report, instance, total_within_class, counterexample,
-                       counterexample_instance, guard_note):
+def _translation_suite(report, unfold, total_within_class, counterexample,
+                       guard, guard_note):
+    """``B[a | alpha] phi`` against the translation's unfolding of it, for
+    every pair of depth-2 formulas on every constrained model, and the
+    ``guard`` pair (alpha, phi) on the counterexample model."""
     report.seed = None  # exhaustive: nothing is drawn
+
+    def instance(alpha, phi):
+        b = CondBelief("a", alpha, phi)
+        return iff(b, unfold(b)[1])
+
     t0 = time.monotonic()
     formulas = _static_depth2_formulas()
     count = 0
@@ -452,19 +401,19 @@ def _translation_suite(report, instance, total_within_class, counterexample,
         reps = _dedup_by_truth_set(m, formulas, ev)
         for alpha in reps:
             for phi in reps:
-                ok, bad = is_valid_on(m, instance("a", alpha, phi))
+                ok, bad = is_valid_on(m, instance(alpha, phi))
                 if not ok:
                     report.failures.append(
                         f"model#{count} biconditional fails at {bad} "
                         f"alpha={format_formula(alpha)} phi={format_formula(phi)} "
                         f"model={_compact(m)}")
     # Guard the precondition: the frozen counterexample must falsify it.
-    guard = counterexample()
-    ok, _ = is_valid_on(guard, counterexample_instance)
+    guard_model = counterexample()
+    ok, _ = is_valid_on(guard_model, instance(*guard))
     if ok:
         report.failures.append(
             f"guard failed: biconditional unexpectedly valid on {guard_note} "
-            f"model {_compact(guard)}")
+            f"model {_compact(guard_model)}")
     report.trials = count
     report.notes = f"exhaustive over {count} models, plus the {guard_note} guard"
     report.elapsed = time.monotonic() - t0
@@ -698,9 +647,8 @@ def _defs():
             "conditional belief matches its K+Gt unfolding on uniform models",
             None,
             lambda r: _translation_suite(
-                r, _gt_translation_instance, False,
-                _uniform_counterexample_model,
-                _gt_translation_instance("a", Top(), Not(Atom("p"))),
+                r, _unfold_gt, False, _uniform_counterexample_model,
+                (Top(), Not(Atom("p"))),
                 "non-uniform")),
         "thm24-1": (
             "Gt-bisimilar points agree on the strict-plausibility language",
@@ -734,9 +682,8 @@ def _defs():
             "connected models",
             None,
             lambda r: _translation_suite(
-                r, _safe_translation_instance, True,
-                _connected_counterexample_model,
-                _safe_translation_instance("a", Top(), Atom("p")),
+                r, _unfold_safe, True, _connected_counterexample_model,
+                (Top(), Atom("p")),
                 "non-connected")),
         "thm28-1": (
             "on uniform locally connected models K+Bplus bisimilarity gives "
@@ -761,11 +708,11 @@ def _defs():
         "fact5": (
             "the six announcement/upgrade biconditionals for K, Bc, Bplus are valid",
             100,
-            lambda r: _schema_suite(r, _announce_schemas())),
+            lambda r: _schema_suite(r, _FACT5)),
         "fact30": (
             "the two announcement/upgrade biconditionals for Gt are valid",
             100,
-            lambda r: _schema_suite(r, _gt_schemas())),
+            lambda r: _schema_suite(r, _FACT30)),
         "pairfamily": (
             "the definable-pair family is exactly the enumerable truth-set pairs",
             100,

@@ -35,7 +35,7 @@ __all__ = [
     "Know", "CondBelief", "SafeBelief", "GtBox", "Announce", "Upgrade",
     "Fragment", "ParseError", "parse", "format_formula", "fragment_of",
     "formula_depth", "formula_size", "has_dynamic", "enumerate_formulas",
-    "iff", "khat", "gt_dia", "children", "rebuild",
+    "iff", "khat", "gt_dia", "children", "rebuild", "walk",
 ]
 
 
@@ -202,25 +202,33 @@ def rebuild(f: Formula, parts: tuple[Formula, ...]) -> Formula:
     return type(f)(*[getattr(f, name) for name in f._labels], *parts)
 
 
+def walk(f: Formula) -> Iterator[tuple[Formula, int]]:
+    """Every node occurrence of f, in preorder, with its depth (the root's
+    is 0).  The walk keeps its own stack, so the depth of f is not bounded
+    by Python's recursion."""
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        yield g, d
+        parts = g._parts
+        if parts:
+            stack.extend((getattr(g, name), d + 1) for name in reversed(parts))
+
+
 def formula_depth(f: Formula) -> int:
     """Nesting depth; atoms and constants sit at depth 0, every other node
     adds one layer, Boolean and modal alike."""
-    kids = children(f)
-    if not kids:
-        return 0
-    return 1 + max(formula_depth(k) for k in kids)
+    return max(d for _, d in walk(f))
 
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes."""
-    return 1 + sum(formula_size(k) for k in children(f))
+    return sum(1 for _ in walk(f))
 
 
 def has_dynamic(f: Formula) -> bool:
     """True when an announcement or upgrade operator occurs anywhere in f."""
-    if isinstance(f, _DYNAMIC):
-        return True
-    return any(has_dynamic(k) for k in children(f))
+    return any(isinstance(g, _DYNAMIC) for g, _ in walk(f))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +288,8 @@ _KIND_OF_NODE = {
 
 def fragment_of(f: Formula) -> Fragment:
     """Smallest fragment containing every operator kind occurring in f."""
-    kinds: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        kind = _KIND_OF_NODE.get(type(g))
-        if kind is not None:
-            kinds.add(kind)
-        for k in children(g):
-            walk(k)
-
-    walk(f)
+    kinds = {_KIND_OF_NODE.get(type(g)) for g, _ in walk(f)}
+    kinds.discard(None)
     return Fragment(frozenset(kinds))
 
 

@@ -520,3 +520,20 @@ class TestDuplicateNames:
         code, out, err = run(capsys, "gen", str(path))
         assert (code, out) == (2, "")
         assert err == "error: states must be an integer or a [min, max] pair\n"
+
+
+def test_bc_relation_check_on_different_agent_sets_names_the_agents(capsys, tmp_path):
+    """The Bc path checks the agent sets before refining the partition, so
+    it reports them as the K path does instead of an unknown agent."""
+    def one_state(agent):
+        return Model(["w"], [agent], {agent: [("w", "w")]},
+                     {(agent, "w"): [("w", "w")]}, {"p": {"w"}})
+    lp = _write(tmp_path / "l.json", one_state("a"))
+    rp = _write(tmp_path / "r.json", one_state("b"))
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"pairs": [["w", "w"]]}))
+    for fragment in ("K", "K,Bc"):
+        code, out, err = run(capsys, "bisim", lp, rp, "--fragment", fragment,
+                             "--relation", str(rel))
+        assert (code, out) == (2, "")
+        assert err == "error: models have different agent sets: ['a'] vs ['b']\n"

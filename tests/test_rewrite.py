@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from plausikit import (And, Atom, CondBelief, Fragment, GenSpec, InputError,
-                       Know, Not, generate, has_dynamic, holds, is_valid_on,
-                       parse, random_formula, reduce_dynamic, replay,
+from plausikit import (And, Announce, Atom, CondBelief, Fragment, GenSpec,
+                       InputError, Know, Not, formula_depth, fragment_of,
+                       generate, has_dynamic, holds, is_valid_on, parse,
+                       random_formula, reduce_dynamic, replay,
                        rewrite_measure, translate_gt, translate_safe,
                        truth_set, iff)
+from plausikit.syntax import formula_size
 
 from helpers import model_with_formula
 
@@ -213,3 +215,42 @@ class TestTranslateSafe:
     def test_rejects_strict_plausibility_input(self):
         with pytest.raises(InputError):
             translate_safe(parse("Gt[a] p"))
+
+
+DEEP = 3000  # levels, past Python's default recursion limit of 1000
+
+
+def _nots(f, n=DEEP):
+    for _ in range(n):
+        f = Not(f)
+    return f
+
+
+def _deep_shapes():
+    """``~^n [! p] q``, ``[! p] ~^n q`` and ``~^n B[a | p] q``, built
+    without the parser, which recurses."""
+    p, q = Atom("p"), Atom("q")
+    return _nots(Announce(p, q)), Announce(p, _nots(q)), _nots(CondBelief("a", p, q))
+
+
+class TestDeepFormulas:
+    """The queries and the translations keep their own stacks."""
+
+    def test_queries_return(self):
+        expected = [(True, {"Ann"}, (0, (3,))),
+                    (True, {"Ann"}, (0, (DEEP + 3,))),
+                    (False, {"Bc"}, (0, ()))]
+        for f, (dynamic, kinds, measure) in zip(_deep_shapes(), expected):
+            assert formula_size(f) == DEEP + 3
+            assert formula_depth(f) == DEEP + 1
+            assert has_dynamic(f) is dynamic
+            assert fragment_of(f).operators == kinds
+            assert rewrite_measure(f) == measure
+
+    def test_translations_return(self):
+        *dynamic, belief = _deep_shapes()
+        for translate in (translate_gt, translate_safe):
+            assert translate(belief) == _nots(translate(parse("B[a | p] q")))
+            for f in dynamic:
+                with pytest.raises(InputError):
+                    translate(f)

@@ -166,3 +166,25 @@ def test_pairfamily_flags_a_partition_that_merges_blocks(monkeypatch):
     report = run_suite("pairfamily", trials=5, seed=11)
     assert not report.ok
     assert all("unions of refined blocks" in line for line in report.failures)
+
+
+@pytest.mark.parametrize("name, rule, label", [
+    ("fact5", "ann-know", "announce-know"),
+    ("fact30", "up-gt", "upgrade-gt"),
+])
+def test_schema_suites_check_the_rewriters_own_rules(monkeypatch, name, rule, label):
+    """fact5 and fact30 check the contractions reduce_dynamic applies, so a
+    wrong rule there fails them."""
+    from plausikit import suites
+    from plausikit.syntax import Not
+    real = suites._contract
+
+    def negated(red):
+        got, out = real(red)
+        return got, Not(out) if got == rule else out
+
+    assert run_suite(name, trials=3, seed=11).ok
+    monkeypatch.setattr(suites, "_contract", negated)
+    report = run_suite(name, trials=3, seed=11)
+    assert len(report.failures) == 3
+    assert all(f"{label} fails at state" in line for line in report.failures)
