@@ -18,8 +18,8 @@ from .dynamics import announce, upgrade
 from .errors import InputError, ResourceLimitError
 from .generate import generate, load_genspec
 from .model import (connectedness_counterexample, is_image_finite, load_model,
-                    model_to_json, save_model, uniformity_counterexample,
-                    validate)
+                    model_to_json, read_json, save_model,
+                    uniformity_counterexample, validate)
 from .rewrite import reduce_dynamic, translate_gt, translate_safe
 from .semantics import holds, is_valid_on
 from .suites import run_suite, suite_names
@@ -100,13 +100,7 @@ def _cmd_bisim(ns) -> int:
         return 0
     if not ns.relation:
         raise InputError("provide either --relation FILE or --greatest")
-    import json as _json
-    with open(ns.relation, "r", encoding="utf-8") as fh:
-        try:
-            doc = _json.load(fh)
-        except _json.JSONDecodeError as e:
-            raise InputError(f"not valid JSON: {e}") from None
-    rel = relation_from_dict(doc, left, right)
+    rel = relation_from_dict(read_json(ns.relation), left, right)
     if "Bc" in frag:
         res = check_bc(rel, frag)
     else:
@@ -138,17 +132,11 @@ def _cmd_props(ns) -> int:
     if problems:
         return 1
     uw = uniformity_counterexample(m)
-    if uw is None:
-        print("uniform: true")
-    else:
-        agent, w, v, pair = uw
-        print(f"uniform: false (witness: {agent}, {w}, {v}, pair {pair})")
+    print("uniform: true" if uw is None else
+          "uniform: false (witness: {}, {}, {}, pair {})".format(*uw))
     cw = connectedness_counterexample(m)
-    if cw is None:
-        print("locally-connected: true")
-    else:
-        agent, w, v = cw
-        print(f"locally-connected: false (witness: {agent}, {w}, {v})")
+    print("locally-connected: true" if cw is None else
+          "locally-connected: false (witness: {}, {}, {})".format(*cw))
     print(f"image-finite: {'true' if is_image_finite(m) else 'false'}")
     return 0
 

@@ -13,13 +13,12 @@ two states are comparable; ``discrete_preorders`` uses the identity order
 
 from __future__ import annotations
 
-import json
 import random
 import string
 from dataclasses import dataclass
 
-from .errors import InputError
-from .model import Model, identity_pairs
+from .errors import InputError, ResourceLimitError
+from .model import Model, identity_pairs, read_json
 from .syntax import (And, Announce, Atom, Bot, CondBelief, Formula, Fragment,
                      GtBox, Implies, Know, Not, Or, SafeBelief, Top, Upgrade)
 
@@ -29,8 +28,15 @@ __all__ = [
 ]
 
 
+MAX_STATES = 100
+
+
 @dataclass(frozen=True)
 class GenSpec:
+    """What :func:`generate` draws.  ``max_states`` is at most
+    :data:`MAX_STATES`, else ResourceLimitError: orders are built pair by
+    pair, and a 100-state, 2-agent model is already a 41 MB file."""
+
     min_states: int = 1
     max_states: int = 4
     agents: int = 1
@@ -44,6 +50,8 @@ class GenSpec:
     def __post_init__(self):
         if self.min_states < 1 or self.max_states < self.min_states:
             raise InputError("state count range must satisfy 1 <= min <= max")
+        if self.max_states > MAX_STATES:
+            raise ResourceLimitError(f"generate makes at most {MAX_STATES} states", MAX_STATES)
         if self.agents < 1 or self.agents > 26:
             raise InputError("agent count must be between 1 and 26")
         if self.atoms < 0 or self.atoms > 26:
@@ -100,12 +108,7 @@ def genspec_from_dict(d: dict) -> GenSpec:
 
 
 def load_genspec(path) -> GenSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"not valid JSON: {e}") from None
-    return genspec_from_dict(doc)
+    return genspec_from_dict(read_json(path))
 
 
 def _ranking_preorder(rng: random.Random, states) -> frozenset:

@@ -13,7 +13,6 @@ here is a pure function of its inputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -32,9 +31,6 @@ __all__ = [
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
-Pair = tuple[str, str]
-
-
 def identity_pairs(xs: Iterable[str]) -> frozenset:
     return frozenset((x, x) for x in xs)
 
@@ -49,43 +45,66 @@ class Model:
 
     ``epist[i]`` is agent i's indistinguishability relation as a set of state
     pairs.  ``plaus[(i, w)]`` is the plausibility preorder agent i uses at
-    state w.  ``valuation[p]`` is the extension of atom p.  Construction
-    normalizes everything into sorted tuples and frozensets behind read-only
-    mappings; it does not check the model axioms, which is the job of
-    :func:`validate`.
+    state w.  ``valuation[p]`` is the extension of atom p.  The storage is
+    :attr:`index`, built at construction in one pass over the pairs: every
+    relation as bitmask rows, equal orders given as pairs stored once.
+    ``epist`` and ``plaus`` read the pairs back as read-only mappings of
+    frozensets, built on first access.  Pairs naming unknown states, and the
+    relations of undeclared agents or of keys naming unknown agents or
+    states, are kept on the side, and only when present.  Construction does
+    not check the model axioms, which is the job of :func:`validate`.
     """
 
-    __slots__ = ("states", "agents", "epist", "plaus", "valuation", "_hash",
-                 "_index")
+    __slots__ = ("states", "agents", "valuation", "index", "_side", "_hash",
+                 "_epist", "_plaus")
 
     def __init__(self, states, agents, epist, plaus, valuation):
+        self._fill(*_relations(states, agents, dict(epist).items(),
+                               dict(plaus).items()), valuation)
+
+    def _fill(self, states, pos, agents, rows, orders, side, valuation):
         put = object.__setattr__
-        put(self, "states", tuple(sorted(set(states))))
-        put(self, "agents", tuple(sorted(set(agents))))
-        put(self, "epist", MappingProxyType({
-            a: frozenset((x, y) for x, y in pairs)
-            for a, pairs in sorted(dict(epist).items())
-        }))
-        put(self, "plaus", MappingProxyType({
-            (a, w): frozenset((x, y) for x, y in pairs)
-            for (a, w), pairs in sorted(dict(plaus).items())
-        }))
-        put(self, "valuation", MappingProxyType({
-            p: frozenset(xs) for p, xs in sorted(dict(valuation).items())
-        }))
-        put(self, "_hash", None)
-        put(self, "_index", None)
+        valuation = {p: frozenset(xs) for p, xs in sorted(dict(valuation).items())}
+        put(self, "states", states)
+        put(self, "agents", agents)
+        put(self, "valuation", MappingProxyType(valuation))
+        put(self, "index", Index(states, agents, pos, rows, orders, {
+            p: sum(1 << pos[s] for s in xs if s in pos) for p, xs in valuation.items()}))
+        put(self, "_side", side)
+        for name in ("_hash", "_epist", "_plaus"):
+            put(self, name, None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Model is immutable; cannot set {name!r}")
 
+    def _read_back(self, slot: str, items, side: dict):
+        """The read-only mapping of name-pair frozensets in slot, built on
+        first access from (key, rows) items and the side pairs."""
+        if getattr(self, slot) is None:
+            seen: dict = {}
+            got = {k: seen.get(id(r)) or seen.setdefault(id(r), _named(self.states, r))
+                   for k, r in items}
+            for k, pairs in side.items():
+                got[k] = got.get(k, frozenset()) | pairs
+            object.__setattr__(self, slot, MappingProxyType(dict(sorted(got.items()))))
+        return getattr(self, slot)
+
+    epist = property(lambda self: self._read_back(
+        "_epist", self.index._rows.items(), self._side[0]))
+    plaus = property(lambda self: self._read_back(
+        "_plaus", (((a, self.states[w]), o.above) for (a, w), o in self.index._orders.items()),
+        self._side[1]))
+
     def _key(self):
+        ix, side = self.index, self._side
         return (
             self.states,
             self.agents,
-            tuple(sorted((a, tuple(sorted(r))) for a, r in self.epist.items())),
-            tuple(sorted((k, tuple(sorted(r))) for k, r in self.plaus.items())),
+            tuple((a, tuple(r)) for a, r in sorted(ix._rows.items())),
+            tuple((k, tuple(o.above)) for k, o in sorted(ix._orders.items())),
             tuple(sorted((p, tuple(sorted(xs))) for p, xs in self.valuation.items())),
+            tuple(tuple(sorted((k, tuple(sorted(r))) for k, r in d.items())) for d in side),
         )
 
     def __eq__(self, other):
@@ -102,14 +121,6 @@ class Model:
         return (f"Model(states={list(self.states)}, agents={list(self.agents)}, "
                 f"atoms={sorted(self.valuation)})")
 
-    @property
-    def index(self) -> "Index":
-        """The bitmask index every semantic operation reads; built on first
-        use and kept for the model's lifetime."""
-        if self._index is None:
-            object.__setattr__(self, "_index", Index(self))
-        return self._index
-
     def atom_extension(self, atom: str) -> frozenset:
         """Extension of an atom; absent atoms are false everywhere."""
         return self.valuation.get(atom, frozenset())
@@ -123,6 +134,12 @@ def bits(mask: int):
         mask ^= low
 
 
+def _named(names, rows) -> frozenset:
+    """The pairs of state names that rows relate."""
+    return frozenset((names[x], names[y]) for x, row in enumerate(rows)
+                     for y in bits(row))
+
+
 class _Order:
     """A preorder as rows: ``below[y]`` holds the states at least as
     plausible as y, ``above[x]`` those x is at least as plausible as.
@@ -134,40 +151,92 @@ class _Order:
         self.below, self.above = below, above
 
 
+def _masks(raw, pos: dict, bit: list, where):
+    """The above and below rows of one pair list over the states in pos, and
+    the set of its pairs naming other states (None when there are none).
+    A list from a model document comes with its place, ``where``, and raises
+    InputError naming it when malformed."""
+    above, below, other = [0] * len(bit), [0] * len(bit), None
+    if where and not (type(raw) is list and set(map(type, raw)) <= {list}
+                    and set(map(len, raw)) <= {2}):
+        if type(raw) is not list:
+            raise InputError(f"{where}: expected a list of pairs")
+        bad = next(p for p in raw if type(p) is not list or len(p) != 2
+                   or not (type(p[0]) is str and type(p[1]) is str))
+        raise InputError(f"{where}: malformed pair {bad!r}")
+    for x, y in raw:
+        try:
+            i = pos[x]
+            j = pos[y]
+        except (KeyError, TypeError):
+            if where and not (type(x) is str and type(y) is str):
+                raise InputError(f"{where}: malformed pair {[x, y]!r}") from None
+            other = other or set()
+            other.add((x, y))
+            continue
+        above[i] |= bit[j]
+        below[j] |= bit[i]
+    return above, below, other
+
+
+def _relations(states, agents, epist, plaus, doc: bool = False) -> tuple:
+    """Every relation of a model as index rows, in one pass over its
+    (key, pairs) items: (states, pos, agents, rows, orders, side)."""
+    states, agents = tuple(sorted(set(states))), tuple(sorted(set(agents)))
+    pos = {s: i for i, s in enumerate(states)}
+    bit = [1 << i for i in range(len(states))]
+    rows, orders, e_side, p_side, interned = {}, {}, {}, {}, {}
+    for a, raw in epist:
+        above, _, other = _masks(raw, pos, bit, doc and f"epist[{a}]")
+        if a not in agents:
+            e_side[a] = _named(states, above).union(other or ())
+            continue
+        rows[a] = above
+        if other:
+            e_side[a] = frozenset(other)
+    for key, raw in plaus:
+        a, w = key
+        above, below, other = _masks(raw, pos, bit, doc and f"plaus[{a}][{w}]")
+        if a not in agents or w not in pos:
+            p_side[key] = _named(states, above).union(other or ())
+            continue
+        orders[(a, pos[w])] = interned.setdefault(tuple(above), _Order(below, above))
+        if other:
+            p_side[key] = frozenset(other)
+    return states, pos, agents, rows, orders, (e_side, p_side)
+
+
 class Index:
-    """Bitmask form of a model, or a view of one after an announcement or an
-    upgrade.
+    """Bitmask form of a model, which is its storage, or a view of one after
+    an announcement or an upgrade.
 
     State i of the sorted state tuple is bit i, so ascending bits list states
     in sorted order; ``live`` is the set of states present.  ``rows(a)[x]``
     is the set of states agent a relates to x, and ``order(a, w)`` the
-    preorder a holds at state w.  Both are built on first use: from the
-    model's pairs (pairs naming unknown states are ignored), or, in a view,
-    from the parent's masks.  :meth:`groups` and :meth:`best`, read through
-    :func:`box`, are the truth-set transformers of every modality.
+    preorder a holds at state w.  A model's index gets them at construction;
+    a view derives them from the parent's masks on first use.
+    :meth:`groups` and :meth:`best`, read through :func:`box`, are the
+    truth-set transformers of every modality.
     """
 
-    __slots__ = ("states", "agents", "pos", "live", "_atoms", "_rels",
+    __slots__ = ("states", "agents", "pos", "live", "_atoms", "_rows", "_orders",
                  "_parent", "_zone", "_upgrade", "_memo", "_sets", "__weakref__")
 
-    def __init__(self, m: Model | None, parent: "Index | None" = None,
-                 zone: int = 0, upgrade: bool = False):
-        if parent is None:
-            self.states, self.agents = m.states, m.agents
-            self.pos = pos = {s: i for i, s in enumerate(m.states)}
-            self.live = (1 << len(pos)) - 1
-            self._atoms = {p: sum(1 << pos[s] for s in xs if s in pos)
-                           for p, xs in m.valuation.items()}
-            # The relations, not the model: an index never keeps its model alive.
-            self._rels = (m.epist, m.plaus)
-        else:
-            self.states, self.agents, self.pos = parent.states, parent.agents, parent.pos
-            self._atoms, self._rels = parent._atoms, None
-            self.live = parent.live if upgrade else zone
+    def __init__(self, states: tuple, agents: tuple, pos: dict, rows: dict,
+                 orders: dict, atoms: dict, parent: "Index | None" = None,
+                 zone: int = -1, upgrade: bool = False):
+        self.states, self.agents, self.pos, self._atoms = states, agents, pos, atoms
+        # By agent, and by (agent, position); a view fills them on first use.
+        self._rows, self._orders = rows, orders
+        self.live = parent.live if upgrade else zone & (1 << len(states)) - 1
         self._parent, self._zone, self._upgrade = parent, zone, upgrade
-        # rows, orders (shared), own rows, targets, groups, classes
+        # derived orders (by the parent's order), targets, groups, classes
         self._memo: dict = {}
         self._sets: dict = {}   # mask -> frozenset of names
+
+    def _view(self, zone: int, upgrade: bool = False) -> "Index":
+        return Index(self.states, self.agents, self.pos, {}, {}, self._atoms,
+                     self, zone, upgrade)
 
     def at(self, state: str) -> int:
         """Position of a live state."""
@@ -189,45 +258,26 @@ class Index:
     def atom(self, p: str) -> int:
         return self._atoms.get(p, 0) & self.live
 
-    def _pair_rows(self, rel) -> _Order:
-        pos = self.pos
-        below, above = [0] * len(pos), [0] * len(pos)
-        for x, y in rel:
-            if x in pos and y in pos:
-                above[pos[x]] |= 1 << pos[y]
-                below[pos[y]] |= 1 << pos[x]
-        return _Order(below, above)
-
     def rows(self, agent: str) -> list:
-        got = self._memo.get(agent)
+        got = self._rows.get(agent)
         if got is None:
-            parent = self._parent
-            if parent is None:
-                if agent not in self.agents or agent not in self._rels[0]:
-                    raise InputError(f"unknown agent {agent!r}")
-                got = self._pair_rows(self._rels[0][agent]).above
-            else:
-                got = [r & self.live for r in parent.rows(agent)]
-            self._memo[agent] = got
+            if self._parent is None:
+                raise InputError(f"unknown agent {agent!r}")
+            got = self._rows[agent] = [r & self.live for r in self._parent.rows(agent)]
         return got
 
     def order(self, agent: str, w: int) -> _Order:
-        got = self._memo.get((agent, w))
+        got = self._orders.get((agent, w))
         if got is not None:
             return got
         if self._parent is None:
-            rel = self._rels[1].get((agent, self.states[w]))
-            if rel is None or agent not in self.agents:
-                raise InputError(f"no plausibility order for ({agent!r}, "
-                                 f"{self.states[w]!r})")
-        else:
-            rel = self._parent.order(agent, w)
+            raise InputError(f"no plausibility order for ({agent!r}, "
+                             f"{self.states[w]!r})")
+        rel = self._parent.order(agent, w)
         got = self._memo.get(rel)
         if got is None:
             live, win = self.live, self._zone
-            if self._parent is None:
-                got = self._pair_rows(rel)
-            elif not self._upgrade:
+            if not self._upgrade:
                 got = _Order([b & live for b in rel.below],
                              [a & live for a in rel.above])
             else:
@@ -238,73 +288,54 @@ class Index:
                              [a & win | live & ~win if win >> x & 1 else a & ~win
                               for x, a in enumerate(rel.above)])
             self._memo[rel] = got
-        self._memo[(agent, w)] = got
+        self._orders[(agent, w)] = got
         return got
 
     def announced(self, keep: int) -> "Index":
         """The view keeping only the live states in keep (nonempty)."""
         keep &= self.live
-        return self if keep == self.live else Index(None, self, keep)
+        return self if keep == self.live else self._view(keep)
 
     def upgraded(self, winners: int) -> "Index":
         """The view after radically upgrading the live states in winners."""
         winners &= self.live
-        return self if winners in (0, self.live) else Index(None, self, winners, True)
+        return self if winners in (0, self.live) else self._view(winners, True)
 
     def to_model(self) -> Model:
-        names, live = self.states, list(bits(self.live))
+        """The model this index shows, handed its masks: live states are
+        renumbered in order, and each order of the index gives one order."""
+        live = list(bits(self.live))
+        new = {i: 1 << k for k, i in enumerate(live)}
 
-        def pairs(rows):
-            return [(names[x], names[y]) for x in live for y in bits(rows[x])]
+        def cut(rows):
+            if len(live) == len(rows):
+                return list(rows)
+            return [sum(new[y] for y in bits(rows[x])) for x in live]
 
-        return Model([names[i] for i in live], self.agents,
-                     {a: pairs(self.rows(a)) for a in self.agents},
-                     {(a, names[w]): pairs(self.order(a, w).above)
-                      for a in self.agents for w in live},
-                     {p: self.names(x & self.live) for p, x in self._atoms.items()})
+        names, cuts = tuple(self.states[i] for i in live), {}
+        rows = {a: cut(self.rows(a)) for a in self.agents}
+        orders = {(a, k): cuts.get(o) or cuts.setdefault(o, _Order(cut(o.below), cut(o.above)))
+                  for a in self.agents for k, o in enumerate(self.order(a, w) for w in live)}
+        return Model.__new__(Model)._fill(
+            names, {s: k for k, s in enumerate(names)}, self.agents, rows, orders,
+            ({}, {}), {p: self.names(x & self.live) for p, x in self._atoms.items()})
 
     def targets(self, kind: str, agent: str) -> list:
         """Per state w, the states the K, Bplus or Gt box at w looks at: the
         class of w, its part at least as plausible as w, or its part
         strictly more plausible than w."""
-        got = self._memo.get(("targets", kind, agent))
-        if got is None:
+        def make():
             got = list(self.rows(agent))
-            if kind != "K":
-                for w, below, above in self._own_rows(agent):
-                    got[w] &= below & (~above if kind == "Gt" else -1)
-            self._memo[("targets", kind, agent)] = got
-        return got
-
-    def _own_rows(self, agent: str) -> list:
-        """(w, below, above) per live state w: the states of w's class at
-        least as plausible as w, and those w is at least as plausible as,
-        under the order w holds.  Read off the order once it is built;
-        before that, a model's index tests the pairs of w with its class,
-        which needs only w's row of the order."""
-        got = self._memo.get(("own", agent))
-        if got is not None:
-            return got
-        rows, names, got, members = self.rows(agent), self.states, [], {}
-        for w in bits(self.live):
-            cls, name = rows[w], names[w]
-            rel = (self._rels[1].get((agent, name))
-                   if self._parent is None and (agent, w) not in self._memo else None)
-            if rel is None:
+            for w in bits(self.live) if kind != "K" else ():
                 o = self.order(agent, w)
-                got.append((w, o.below[w], o.above[w]))
-                continue
-            pairs = members.get(cls)
-            if pairs is None:
-                pairs = members[cls] = [(1 << x, names[x]) for x in bits(cls)]
-            below = above = 0
-            for b, x in pairs:
-                if (x, name) in rel:
-                    below |= b
-                if (name, x) in rel:
-                    above |= b
-            got.append((w, below, above))
-        self._memo[("own", agent)] = got
+                got[w] &= o.below[w] & (~o.above[w] if kind == "Gt" else -1)
+            return got
+        return self._memoised(("targets", kind, agent), make)
+
+    def _memoised(self, key, make):
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
         return got
 
     def _grouped(self, key_of) -> list:
@@ -317,21 +348,14 @@ class Index:
 
     def groups(self, kind: str, agent: str) -> list:
         """(target, states) pairs: live states grouped by :meth:`targets`."""
-        got = self._memo.get(("groups", kind, agent))
-        if got is None:
-            got = self._memo[("groups", kind, agent)] = self._grouped(
-                self.targets(kind, agent).__getitem__)
-        return got
+        return self._memoised(("groups", kind, agent), lambda: self._grouped(
+            self.targets(kind, agent).__getitem__))
 
     def classes(self, agent: str) -> list:
         """((class, order), states) pairs: live states grouped by their
         epistemic class and the order they hold."""
-        got = self._memo.get(("classes", agent))
-        if got is None:
-            rows = self.rows(agent)
-            got = self._memo[("classes", agent)] = self._grouped(
-                lambda w: (rows[w], self.order(agent, w)))
-        return got
+        return self._memoised(("classes", agent), lambda: self._grouped(
+            lambda w: (self.rows(agent)[w], self.order(agent, w))))
 
     def best(self, agent: str, cond: int) -> list:
         """(most plausible cond-states of the class, states) pairs, for
@@ -377,62 +401,47 @@ def validate(m: Model) -> list[str]:
     it just must not be fed to the semantic operations.
     """
     problems: list[str] = []
-    states = set(m.states)
-    ix = m.index
+    ix, pos, (e_side, p_side) = m.index, m.index.pos, m._side
 
     if not m.states:
         problems.append("model has no states")
     if not m.agents:
         problems.append("model has no agents")
-    for s in m.states:
-        if not _IDENT.match(s):
-            problems.append(f"bad state identifier {s!r}")
-    for a in m.agents:
-        if not _IDENT.match(a):
-            problems.append(f"bad agent identifier {a!r}")
-    for p in m.valuation:
-        if not _IDENT.match(p):
-            problems.append(f"bad atom identifier {p!r}")
+    for kind, names in (("state", m.states), ("agent", m.agents), ("atom", m.valuation)):
+        problems += [f"bad {kind} identifier {s!r}" for s in names if not _IDENT.match(s)]
 
-    for a in sorted(m.epist):
-        if a not in m.agents:
-            problems.append(f"epist mentions undeclared agent {a!r}")
+    problems += [f"epist mentions undeclared agent {a!r}"
+                 for a in sorted(e_side) if a not in m.agents]
     for a in m.agents:
-        if a not in m.epist:
+        if a not in ix._rows:
             problems.append(f"no epistemic relation for agent {a!r}")
             continue
-        problems += _relation_problems(m.states, states, m.epist[a], ix.rows(a),
+        problems += _relation_problems(m.states, pos, e_side.get(a), ix._rows[a],
                                        f"epist[{a}]", symmetric=True)
 
-    for a, w in sorted(m.plaus):
-        if a not in m.agents or w not in states:
-            problems.append(f"plaus key ({a!r}, {w!r}) uses unknown agent or state")
+    problems += [f"plaus key ({a!r}, {w!r}) uses unknown agent or state"
+                 for a, w in sorted(p_side) if a not in m.agents or w not in pos]
     for a in m.agents:
         for i, w in enumerate(m.states):
-            if (a, w) not in m.plaus:
+            o = ix._orders.get((a, i))
+            if o is None:
                 problems.append(f"no plausibility order for ({a!r}, {w!r})")
                 continue
-            problems += _relation_problems(m.states, states, m.plaus[(a, w)],
-                                           ix.order(a, i).above, f"plaus[{a},{w}]",
-                                           symmetric=False)
+            problems += _relation_problems(m.states, pos, p_side.get((a, w)), o.above,
+                                           f"plaus[{a},{w}]", symmetric=False)
 
-    for p in sorted(m.valuation):
-        for s in sorted(m.valuation[p]):
-            if s not in states:
-                problems.append(f"valuation[{p}] mentions unknown state {s!r}")
-
+    problems += [f"valuation[{p}] mentions unknown state {s!r}"
+                 for p in sorted(m.valuation) for s in sorted(m.valuation[p]) if s not in pos]
     return problems
 
 
-def _relation_problems(names: tuple, states: set, rel, rows: list, where: str,
+def _relation_problems(names: tuple, pos: dict, other, rows: list, where: str,
                        symmetric: bool) -> list[str]:
-    """Unknown states in rel, then the reflexivity, symmetry (if asked) and
-    transitivity of its known part, whose successor sets are ``rows``;
-    witnesses come in sorted pair order."""
-    out = []
-    if not states.issuperset(itertools.chain.from_iterable(rel)):
-        out += [f"{where} mentions unknown state {s!r}"
-                for pair in sorted(rel) for s in pair if s not in states]
+    """The pairs of other naming unknown states, then the reflexivity,
+    symmetry (if asked) and transitivity of the relation whose successor
+    sets are ``rows``; witnesses come in sorted pair order."""
+    out = [f"{where} mentions unknown state {s!r}"
+           for pair in sorted(other or ()) for s in pair if s not in pos]
     out += [f"{where} not reflexive at {names[x]!r}"
             for x, row in enumerate(rows) if not row >> x & 1]
     if symmetric:
@@ -481,16 +490,16 @@ def strict(m: Model) -> StrictOrders:
 def uniformity_counterexample(m: Model):
     """First (agent, w, v, pair) where indistinguishable states hold
     different plausibility orders; None when the model is uniform."""
+    ix, names, side = m.index, m.states, m._side[1]
+    none = _Order(None, [0] * len(names))
     for a in m.agents:
-        for w in m.states:
-            for v in m.states:
-                if w >= v or (w, v) not in m.epist.get(a, frozenset()):
-                    continue
-                rw = m.plaus.get((a, w), frozenset())
-                rv = m.plaus.get((a, v), frozenset())
-                if rw != rv:
-                    diff = min(rw.symmetric_difference(rv))
-                    return (a, w, v, diff)
+        for w, row in enumerate(ix._rows.get(a, ())):
+            for v in bits(row >> w + 1 << w + 1):
+                rw, rv = (ix._orders.get((a, x), none).above for x in (w, v))
+                sw, sv = (side.get((a, names[x]), frozenset()) for x in (w, v))
+                if rw != rv or sw != sv:
+                    return (a, names[w], names[v],
+                            min((_named(names, rw) | sw) ^ (_named(names, rv) | sv)))
     return None
 
 
@@ -501,14 +510,13 @@ def is_uniform(m: Model) -> bool:
 def connectedness_counterexample(m: Model):
     """First (agent, w, v) with w and v indistinguishable but incomparable
     under the order held at w; None when the model is locally connected."""
+    ix = m.index
     for a in m.agents:
-        for w in m.states:
-            rel = m.plaus.get((a, w), frozenset())
-            for v in m.states:
-                if v == w or (w, v) not in m.epist.get(a, frozenset()):
-                    continue
-                if (w, v) not in rel and (v, w) not in rel:
-                    return (a, w, v)
+        for w, row in enumerate(ix._rows.get(a, ())):
+            o = ix._orders.get((a, w))
+            apart = row & ~(1 << w | (o.below[w] | o.above[w] if o else 0))
+            if apart:
+                return (a, m.states[w], m.states[(apart & -apart).bit_length() - 1])
     return None
 
 
@@ -529,35 +537,30 @@ def is_image_finite(m: Model) -> bool:
 _TOP_KEYS = {"states", "agents", "epist", "plaus", "valuation"}
 
 
+def _pair_list(names: tuple, rows, other) -> list:
+    """The pairs of rows, and those of other, as name lists in sorted order:
+    ascending bits are already sorted."""
+    got = [[names[x], names[y]] for x, row in enumerate(rows) for y in bits(row)]
+    return sorted(got + [list(p) for p in other]) if other else got
+
+
 def model_to_dict(m: Model) -> dict:
+    ix, names = m.index, m.states
+    e_side, p_side = m._side
+    none = _Order((), ())
     return {
-        "states": list(m.states),
+        "states": list(names),
         "agents": list(m.agents),
-        "epist": {
-            a: [list(p) for p in sorted(m.epist.get(a, frozenset()))]
-            for a in m.agents
-        },
+        "epist": {a: _pair_list(names, ix._rows.get(a, ()), e_side.get(a))
+                  for a in m.agents},
         "plaus": {
-            a: {
-                w: [list(p) for p in sorted(m.plaus.get((a, w), frozenset()))]
-                for w in m.states
-            }
+            a: {w: _pair_list(names, ix._orders.get((a, i), none).above,
+                              p_side.get((a, w)))
+                for i, w in enumerate(names)}
             for a in m.agents
         },
         "valuation": {p: sorted(xs) for p, xs in m.valuation.items()},
     }
-
-
-def _check_pairs(raw, where: str) -> list[tuple[str, str]]:
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: expected a list of pairs")
-    out = []
-    for item in raw:
-        x, y = item if isinstance(item, list) and len(item) == 2 else (None, None)
-        if not (isinstance(x, str) and isinstance(y, str)):
-            raise InputError(f"{where}: malformed pair {item!r}")
-        out.append((x, y))
-    return out
 
 
 def model_from_dict(d: dict) -> Model:
@@ -576,25 +579,22 @@ def model_from_dict(d: dict) -> Model:
         if len(set(names)) != len(names):
             dup = next(s for i, s in enumerate(names) if s in names[:i])
             raise InputError(f"{key}: duplicate name {dup!r}")
-    if not isinstance(d["epist"], dict):
-        raise InputError("epist: expected an object")
-    if not isinstance(d["plaus"], dict):
-        raise InputError("plaus: expected an object")
-    if not isinstance(d["valuation"], dict):
-        raise InputError("valuation: expected an object")
-    epist = {a: _check_pairs(pairs, f"epist[{a}]") for a, pairs in d["epist"].items()}
-    plaus = {}
-    for a, per_state in d["plaus"].items():
-        if not isinstance(per_state, dict):
-            raise InputError(f"plaus[{a}]: expected an object")
-        for w, pairs in per_state.items():
-            plaus[(a, w)] = _check_pairs(pairs, f"plaus[{a}][{w}]")
-    valuation = {}
+    for key in ("epist", "plaus", "valuation"):
+        if not isinstance(d[key], dict):
+            raise InputError(f"{key}: expected an object")
+
+    def plaus():
+        for a, per_state in d["plaus"].items():
+            if not isinstance(per_state, dict):
+                raise InputError(f"plaus[{a}]: expected an object")
+            yield from (((a, w), pairs) for w, pairs in per_state.items())
+
+    relations = _relations(d["states"], d["agents"], d["epist"].items(), plaus(),
+                           doc=True)
     for p, xs in d["valuation"].items():
         if not isinstance(xs, list) or not all(isinstance(s, str) for s in xs):
             raise InputError(f"valuation[{p}]: expected a list of states")
-        valuation[p] = xs
-    return Model(d["states"], d["agents"], epist, plaus, valuation)
+    return Model.__new__(Model)._fill(*relations, d["valuation"])
 
 
 def model_to_json(m: Model) -> str:
@@ -602,12 +602,21 @@ def model_to_json(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n"
 
 
-def model_from_json(text: str) -> Model:
+def _decode(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"not valid JSON: {e}") from None
-    return model_from_dict(doc)
+
+
+def model_from_json(text: str) -> Model:
+    return model_from_dict(_decode(text))
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file; bad JSON raises InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _decode(fh.read())
 
 
 def load_model(path, check: bool = True) -> Model:

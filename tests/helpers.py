@@ -5,14 +5,16 @@ The reference evaluator is deliberately naive: straight per-state recursion,
 no memoization, no truth-set computation, with its own copies of the model
 transformations written as comprehensions.  It exists to disagree with the
 production evaluator if either is wrong.  ``ref_validate`` plays the same
-part for ``validate``, ``ref_reduce_dynamic`` for ``reduce_dynamic``, and
-``ref_greatest_structural`` and ``ref_check_bc`` for the bisimulation
-procedures that now read the partition-refinement engine.
+part for ``validate``, the two ``ref_*_counterexample`` scans for the
+property checks that read index rows, ``ref_reduce_dynamic`` for
+``reduce_dynamic``, and ``ref_greatest_structural`` and ``ref_check_bc`` for
+the bisimulation procedures that now read the partition-refinement engine.
 """
 
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Fragment, GtBox, Implies, Know, Model, Not, Or,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
-                       format_formula)
+                       format_formula, model_to_dict)
 from plausikit.model import bits
 from plausikit.rewrite import _contract, replace_at, subterm_at
 from plausikit.syntax import children
@@ -149,6 +151,36 @@ def ref_validate(m: Model) -> list[str]:
                 problems.append(f"valuation[{p}] mentions unknown state {s!r}")
 
     return problems
+
+
+def ref_uniformity_counterexample(m: Model):
+    """The pair-scanning form of ``uniformity_counterexample``, kept as its
+    oracle."""
+    for a in m.agents:
+        for w in m.states:
+            for v in m.states:
+                if w >= v or (w, v) not in m.epist.get(a, frozenset()):
+                    continue
+                rw = m.plaus.get((a, w), frozenset())
+                rv = m.plaus.get((a, v), frozenset())
+                if rw != rv:
+                    diff = min(rw.symmetric_difference(rv))
+                    return (a, w, v, diff)
+    return None
+
+
+def ref_connectedness_counterexample(m: Model):
+    """The pair-scanning form of ``connectedness_counterexample``, kept as
+    its oracle."""
+    for a in m.agents:
+        for w in m.states:
+            rel = m.plaus.get((a, w), frozenset())
+            for v in m.states:
+                if v == w or (w, v) not in m.epist.get(a, frozenset()):
+                    continue
+                if (w, v) not in rel and (v, w) not in rel:
+                    return (a, w, v)
+    return None
 
 
 def _dynamic_count(f) -> int:
@@ -362,6 +394,42 @@ def broken_models(draw):
     valuation = {p: set(xs) | set(draw(st.lists(st.just("zz"), max_size=1)))
                  for p, xs in m.valuation.items()}
     return Model(m.states, m.agents, epist, plaus, valuation)
+
+
+@st.composite
+def broken_docs(draw):
+    """The document of a generated model with pairs dropped from and added
+    to its lists, some naming a state the model lacks and some repeated, an
+    order dropped, and perhaps an undeclared agent and stray plaus keys."""
+    doc = model_to_dict(draw(models()))
+    pair = st.lists(st.sampled_from(doc["states"] + ["zz"]), min_size=2, max_size=2)
+    for ps in [*doc["epist"].values(),
+               *(ps for per in doc["plaus"].values() for ps in per.values())]:
+        for gone in draw(st.lists(st.sampled_from(ps), max_size=2)) if ps else ():
+            if gone in ps:
+                ps.remove(gone)
+        ps += draw(st.lists(pair, max_size=2))
+    for a in draw(st.lists(st.sampled_from(sorted(doc["plaus"])), max_size=1)):
+        del doc["plaus"][a][draw(st.sampled_from(sorted(doc["plaus"][a])))]
+    if draw(st.booleans()):
+        doc["epist"]["c"] = [["zz", "zz"], [doc["states"][0]] * 2]
+        doc["plaus"]["a"]["zz"] = [["zz", "zz"]]
+        doc["plaus"]["c"] = {doc["states"][0]: [[doc["states"][0], "zz"]]}
+    for xs in doc["valuation"].values():
+        xs += draw(st.lists(st.just("zz"), max_size=1))
+    return doc
+
+
+def pairs_read(doc: dict):
+    """A model document read as plain frozensets of pairs, apart from the
+    model builder: the attributes ``ref_validate`` and the ``ref_*`` scans
+    read."""
+    return SimpleNamespace(
+        states=tuple(sorted(doc["states"])), agents=tuple(sorted(doc["agents"])),
+        epist={a: frozenset(map(tuple, ps)) for a, ps in doc["epist"].items()},
+        plaus={(a, w): frozenset(map(tuple, ps))
+               for a, per in doc["plaus"].items() for w, ps in per.items()},
+        valuation={p: frozenset(xs) for p, xs in sorted(doc["valuation"].items())})
 
 
 @st.composite

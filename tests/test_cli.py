@@ -246,6 +246,12 @@ class TestGen:
         spec_path.write_text(json.dumps({"states": [3, 1]}))
         assert run(capsys, "gen", str(spec_path))[0] == 2
 
+    @pytest.mark.parametrize("states", [100000, [1, 100000]])
+    def test_spec_past_the_state_limit_exits_3(self, capsys, tmp_path, states):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"states": states}))
+        assert run(capsys, "gen", str(spec_path), "-o", str(tmp_path / "m.json"))[0] == 3
+
 
 class TestSuite:
     def test_named_suite_runs_green(self, capsys):

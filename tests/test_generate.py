@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from plausikit import (Fragment, GenSpec, InputError, formula_depth,
-                       fragment_of, generate, genspec_from_dict,
+from plausikit import (Fragment, GenSpec, InputError, ResourceLimitError,
+                       formula_depth, fragment_of, generate, genspec_from_dict,
                        genspec_to_dict, is_locally_connected, is_uniform,
                        model_to_json, random_formula, rename_states, strict,
                        validate)
@@ -111,3 +111,13 @@ def test_random_formula_is_deterministic_in_the_rng():
     b = [random_formula(random.Random(42), ["p", "q"], ["a", "b"],
                         Fragment.of("K", "Bc"), 3) for _ in range(5)]
     assert a == b
+
+
+def test_state_limit_is_checked_before_generating():
+    from plausikit.generate import MAX_STATES
+    assert GenSpec(MAX_STATES, MAX_STATES).max_states == MAX_STATES
+    with pytest.raises(ResourceLimitError) as err:
+        GenSpec(1, MAX_STATES + 1)
+    assert err.value.cap == MAX_STATES
+    with pytest.raises(InputError):
+        GenSpec(3, 2)

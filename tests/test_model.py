@@ -2,16 +2,18 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plausikit import (InputError, Model, eq_class, identity_pairs,
                        is_image_finite, is_locally_connected, is_uniform,
                        connectedness_counterexample, load_model,
-                       min_set, model_from_json, model_to_dict, model_to_json,
-                       parse, save_model, strict, total_pairs, truth_set,
-                       uniformity_counterexample, validate)
+                       min_set, model_from_dict, model_from_json, model_to_dict,
+                       model_to_json, parse, save_model, strict, total_pairs,
+                       truth_set, uniformity_counterexample, validate)
 
-from helpers import (DISCRETE2, TOTAL2, broken_models, models, ref_validate,
-                     two_state)
+from helpers import (DISCRETE2, TOTAL2, broken_docs, broken_models, models,
+                     pairs_read, ref_connectedness_counterexample,
+                     ref_uniformity_counterexample, ref_validate, two_state)
 
 
 def one_state(epist=None, plaus=None):
@@ -428,3 +430,99 @@ def test_targets_read_off_the_pairs_equal_targets_read_off_built_orders(seed):
             assert lazy.targets(kind, a) == built.targets(kind, a)
     assert not any((a, w) in lazy._memo
                    for a in m.agents for w in range(len(m.states)))
+
+
+# ---------------------------------------------------------------------------
+# The index as storage: property checks on rows, and the JSON path
+
+class TestPropertyChecksAgainstPairScan:
+    """The counterexample searches read index rows; the ref_* scans read
+    pairs.  They must give the same witnesses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(models())
+    def test_generated_models(self, m):
+        assert uniformity_counterexample(m) == ref_uniformity_counterexample(m)
+        assert connectedness_counterexample(m) == ref_connectedness_counterexample(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(broken_models())
+    def test_broken_models(self, m):
+        assert uniformity_counterexample(m) == ref_uniformity_counterexample(m)
+        assert connectedness_counterexample(m) == ref_connectedness_counterexample(m)
+
+    def test_orders_differing_only_in_an_unknown_state(self):
+        every = total_pairs(["v", "w"])
+        m = Model(["v", "w"], ["a"], {"a": every},
+                  {("a", "v"): every, ("a", "w"): every | {("w", "zz")}}, {})
+        assert uniformity_counterexample(m) == ("a", "v", "w", ("w", "zz"))
+        assert uniformity_counterexample(m) == ref_uniformity_counterexample(m)
+
+
+class TestJsonPath:
+    @settings(max_examples=300, deadline=None)
+    @given(broken_docs())
+    def test_documents_with_stray_pairs_agents_and_keys(self, doc):
+        m, ref = model_from_dict(doc), pairs_read(doc)
+        assert validate(m) == ref_validate(ref)
+        assert dict(m.epist) == ref.epist
+        assert dict(m.plaus) == ref.plaus
+        assert uniformity_counterexample(m) == ref_uniformity_counterexample(ref)
+        assert connectedness_counterexample(m) == ref_connectedness_counterexample(ref)
+        assert Model(ref.states, ref.agents, ref.epist, ref.plaus, ref.valuation) == m
+
+    @pytest.mark.parametrize("epist, plaus, message", [
+        ([["w", "w"], ["s1", 3]], [["w", "w"]], "epist[a]: malformed pair ['s1', 3]"),
+        ([["w", "zz"], ["w", "w", "w"]], [["w", "w"]],
+         "epist[a]: malformed pair ['w', 'w', 'w']"),
+        ([["w", "w"], ["s1", 3], "ww"], [["w", "w"]], "epist[a]: malformed pair ['s1', 3]"),
+        ([["zz", "w"], [["w"], "w"]], [["w", "w"]], "epist[a]: malformed pair [['w'], 'w']"),
+        ([["w", "w"]], [["zz", "w"], "ww"], "plaus[a][w]: malformed pair 'ww'"),
+        ([["w", "w"]], [["w", "w"], 7], "plaus[a][w]: malformed pair 7"),
+        ([["w", 3]], "x", "epist[a]: malformed pair ['w', 3]"),
+        (7, [["w", "w"]], "epist[a]: expected a list of pairs"),
+        ([["w", "w"]], {"w": "w"}, "plaus[a][w]: expected a list of pairs"),
+    ])
+    def test_malformed_pairs_give_the_first_problem_in_document_order(
+            self, epist, plaus, message):
+        doc = {"states": ["w"], "agents": ["a"], "epist": {"a": epist},
+               "plaus": {"a": {"w": plaus}}, "valuation": {"p": 3}}
+        with pytest.raises(InputError) as err:
+            model_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_pairs_are_checked_before_plaus_objects_and_valuations(self):
+        doc = {"states": ["w"], "agents": ["a"], "epist": {"a": [["w", 1]]},
+               "plaus": {"a": [], "b": {}}, "valuation": {"p": 3}}
+        for fix, message in [(None, "epist[a]: malformed pair ['w', 1]"),
+                             (("epist", {"a": [["w", "w"]]}),
+                              "plaus[a]: expected an object"),
+                             (("plaus", {"a": {"w": [["w", "w"]]}}),
+                              "valuation[p]: expected a list of states")]:
+            if fix:
+                doc[fix[0]] = fix[1]
+            with pytest.raises(InputError) as err:
+                model_from_dict(doc)
+            assert str(err.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(models(), st.integers(0, 2 ** 32))
+    def test_writing_a_loaded_file_gives_its_bytes(self, tmp_path_factory, m, seed):
+        from plausikit import GenSpec, generate
+        path = tmp_path_factory.mktemp("json") / "m.json"
+        for model in (m, generate(GenSpec(1, 9, 2, 2, seed=seed)),
+                      generate(GenSpec(1, 9, 2, 1, uniform=True, seed=seed))):
+            text = model_to_json(model)
+            path.write_text(text)
+            assert model_to_json(load_model(path)) == text
+
+    def test_read_back_mappings_are_read_only(self):
+        doc = {"states": ["w"], "agents": ["a"],
+               "epist": {"a": [["w", "w"], ["w", "zz"]], "c": []},
+               "plaus": {"a": {"w": [["w", "w"]], "zz": []}}, "valuation": {}}
+        for m in (model_from_dict(doc), two_state(TOTAL2, TOTAL2)):
+            with pytest.raises(TypeError):
+                m.epist["a"] = frozenset()
+            with pytest.raises(TypeError):
+                m.plaus[("a", "w")] = frozenset()
+        assert m.epist["a"] == frozenset(TOTAL2)
