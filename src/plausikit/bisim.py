@@ -5,22 +5,21 @@ Three kinds of procedure live here:
 * structural checks for the notions whose clauses mention only the
   relations of the two models (knowledge, safe belief, strict
   plausibility);
+* one partition-refinement engine for the disjoint union of the two models.
+  It splits the blocks of atom agreement by each state's per-agent
+  signatures until none splits; the blocks are then the classes of modal
+  equivalence for the fragment.  Modal equivalence, Hennessy-Milner and the
+  greatest bisimulation of every notion read them;
 * the conditional-belief notion, whose clauses quantify over all condition
   formulas of a static sublanguage.  On finite models that quantifier is
-  replaced exactly by the family of simultaneously-definable truth-set
-  pairs: the least family containing every atom pair and the pair of full
-  state sets, closed under componentwise complement, intersection, and the
-  fragment's modal truth-set transformers (with conditions drawn from the
-  family itself).  Every family member is the truth-set pair of a concrete
-  formula, and every formula of the fragment lands in the family, so
-  checking the clauses against the family decides the quantified notion
-  exactly;
-* one partition-refinement engine for the disjoint union of the two models.
-  The family is a Boolean algebra, so it is exactly the unions of the
-  blocks of the modal-equivalence partition; refining from atom agreement
-  finds those blocks without building the family.  Modal equivalence,
-  Hennessy-Milner, the greatest bisimulation of every notion and the
-  conditional-belief check all read it.
+  replaced exactly by the definable-pair family: the truth-set pairs of the
+  fragment's formulas across the two models.  The family is a Boolean
+  algebra whose atoms are the refined blocks, so it is exactly their 2^k
+  unions.  Every split is definable from the blocks of the round before,
+  so each block gets a formula true exactly on it, built from the rounds'
+  signatures, and each member the disjunction of its blocks' formulas.
+  The check decides the clauses over the unions, and builds the formulas
+  only to name the condition of a violation.
 
 State sets are handled as bitmasks internally; the public surface speaks in
 frozensets of state names.
@@ -28,20 +27,20 @@ frozensets of state names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 from .errors import InputError, ResourceLimitError
-from .model import Model, bits, box
-from .syntax import (Atom, CondBelief, Formula, Fragment, GtBox, Know,
-                     Not, And, SafeBelief, Top, format_formula)
+from .model import Model, bits
+from .syntax import (And, Atom, Bot, CondBelief, Formula, Fragment, GtBox,
+                     Know, Not, Or, SafeBelief, Top, format_formula)
 
 __all__ = [
     "Relation", "Violation", "CheckResult", "PairFamily", "HMReport",
     "DEFAULT_FAMILY_CAP", "BC_FRAGMENTS", "check_structural",
     "greatest_structural", "definable_pairs", "check_bc", "modal_equiv",
-    "hennessy_milner", "block_unions", "relation_to_dict", "relation_from_dict",
+    "hennessy_milner", "relation_to_dict", "relation_from_dict",
 ]
 
 DEFAULT_FAMILY_CAP = 4096
@@ -225,10 +224,16 @@ def greatest_structural(left: Model, right: Model, fragment: Fragment) -> Relati
 
 
 # ---------------------------------------------------------------------------
-# Partition refinement
+# Partition refinement and the definable-pair family
 
 def _positions(mask: int, off: int) -> list:
     return [x + off for x in bits(mask)]
+
+
+def _clauses(agents: tuple, ops: frozenset) -> list:
+    """The (operator, agent) clauses of a signature, in signature order."""
+    return ([(kind, a) for kind in _STRUCTURAL_KINDS if kind in ops for a in agents]
+            + [("Bc", a) for a in agents if "Bc" in ops])
 
 
 def _bc_signature(members: list, block: list, bit: list) -> frozenset:
@@ -247,35 +252,43 @@ def _bc_signature(members: list, block: list, bit: list) -> frozenset:
         k != d and not k & ~d for k in ds))) for x, ds in per.items())
 
 
-def _partition(left: Model, right: Model, ops: frozenset) -> list:
-    """Block numbers of the modal-equivalence partition of the disjoint
-    union of two models for the static operators ops.  Position i is left
-    state i; position len(left.states) + j is right state j.
+def _rounds(left: Model, right: Model, ops: frozenset):
+    """Refine the modal-equivalence partition of the disjoint union of two
+    models for the static operators ops, yielding each round's signatures
+    and the block numbers they give.  Position i is left state i; position
+    len(left.states) + j is right state j.
 
-    Blocks start from atom agreement and split by a per-state, per-agent
-    signature until none splits: for K, Bplus and Gt, the blocks of the
-    states the box looks at; for Bc, :func:`_bc_signature`.  States of one
-    block then share every signature, so the unions of blocks are closed
-    under every operator, and each split is definable from the blocks
-    before it: the unions are exactly the definable-pair family.
+    The first round's signature of a state is its atom values.  Each later
+    one is its old block, then per clause of :func:`_clauses` the blocks its
+    K, Bplus or Gt box looks at, as a mask of block numbers, or the Bc
+    signature of :func:`_bc_signature`.  Rounds stop when none splits a
+    block; the last blocks yielded are the partition.  States of one block
+    then share every signature, so the unions of blocks are closed under
+    every operator, and each split is definable from the blocks before it:
+    the unions are exactly the definable-pair family.
     """
     li, ri = left.index, right.index
     nl = len(li.states)
     sides = ((li, 0), (ri, nl))
     atoms = [li.atom(p) | ri.atom(p) << nl for p in _atoms_of(left, right)]
+    clauses = _clauses(left.agents, ops)
     # Each state sits in one group per clause, so signatures line up.
     boxes = [(_positions(t, off), _positions(ws, off))
-             for kind in _STRUCTURAL_KINDS if kind in ops for a in left.agents
+             for kind, a in clauses if kind != "Bc"
              for ix, off in sides for t, ws in ix.groups(kind, a)]
     conds = [([(e + off, _positions(o.below[e] & ~o.above[e] & row, off))
                for e in bits(row)], _positions(ws, off))
-             for a in (left.agents if "Bc" in ops else ())
+             for kind, a in clauses if kind == "Bc"
              for ix, off in sides for (row, o), ws in ix.classes(a)]
-    ids: dict = {}
-    block = [ids.setdefault(tuple(m >> x & 1 for m in atoms), len(ids))
-             for x in range(nl + len(ri.states))]
+    sig = [tuple(m >> x & 1 for m in atoms) for x in range(nl + len(ri.states))]
+    count = -1
     while True:
+        ids: dict = {}
+        block = [ids.setdefault(tuple(s), len(ids)) for s in sig]
+        if len(ids) == count:
+            return
         count = len(ids)
+        yield sig, block
         bit = [1 << b for b in block]
         sig = [[b] for b in block]
         for targets, states in boxes:
@@ -286,10 +299,51 @@ def _partition(left: Model, right: Model, ops: frozenset) -> list:
             key = _bc_signature(members, block, bit)
             for x in states:
                 sig[x].append(key)
-        ids = {}
-        block = [ids.setdefault(tuple(s), len(ids)) for s in sig]
-        if len(ids) == count:
-            return block
+
+
+def _partition(left: Model, right: Model, ops: frozenset) -> list:
+    """Block numbers of the modal-equivalence partition of :func:`_rounds`."""
+    for _, block in _rounds(left, right, ops):
+        pass
+    return block
+
+
+_BOXES = {"K": Know, "Bplus": SafeBelief, "Gt": GtBox}
+
+
+def _conj(fs: list) -> Formula:
+    return reduce(And, fs) if fs else Top()
+
+
+def _disj(fs: list, mask: int) -> Formula:
+    """The disjunction of the formulas fs[i] for the bits i of mask."""
+    return reduce(Or, [fs[i] for i in bits(mask)]) if mask else Bot()
+
+
+def _separator(old: list, clauses: list, s: list, t: list) -> Formula:
+    """A formula true on the states of signature s and false on those of t,
+    two signatures of one round that share their old block; old[b] is true
+    exactly on old block b.  It reads the first clause where they differ."""
+    j = next(j for j in range(1, len(s)) if s[j] != t[j])
+    kind, a = clauses[j - 1]
+    if kind != "Bc":
+        # One side's box sees block y and the other's does not.
+        y = next(bits(s[j] ^ t[j]))
+        f = _BOXES[kind](a, Not(old[y]))
+        return Not(f) if s[j] >> y & 1 else f
+    ms, mt = dict(s[j]), dict(t[j])
+    x = min(x for x in ms.keys() | mt.keys() if ms.get(x) != mt.get(x))
+    if x not in ms or x not in mt:
+        # Block x meets one class only: there its best states are not empty.
+        f = CondBelief(a, old[x], Bot())
+        return Not(f) if x in ms else f
+    # Outside the blocks d, block x has most plausible states on s's side
+    # and none on t's, or the mirror image.
+    for d in sorted(ms[x]):
+        if not any(not e & ~d for e in mt[x]):
+            return Not(CondBelief(a, Not(_disj(old, d)), Not(old[x])))
+    e = next(e for e in sorted(mt[x]) if not any(not d & ~e for d in ms[x]))
+    return CondBelief(a, Not(_disj(old, e)), Not(old[x]))
 
 
 def _block_masks(block: list) -> list:
@@ -301,24 +355,13 @@ def _block_masks(block: list) -> list:
 
 
 def _unions(masks: list, within: int = -1) -> list:
-    """Every union of the masks that meet within, each cut to within."""
+    """Every union of the masks that meet within, each cut to within.  With
+    every mask meeting within, union k holds mask i when bit i of k is set."""
     got = [0]
     for m in masks:
         if m & within:
             got += [u | m & within for u in got]
     return got
-
-
-def block_unions(left: Model, right: Model, fragment: Fragment) -> frozenset:
-    """Every union of blocks of the fragment's modal-equivalence partition
-    of the two models, as a pair of truth sets: the definable-pair family,
-    found without its closure."""
-    _require_static(left, right, fragment)
-    li, ri = left.index, right.index
-    off = len(li.states)
-    return frozenset(
-        (li.names(u & (1 << off) - 1), ri.names(u >> off))
-        for u in _unions(_block_masks(_partition(left, right, fragment.operators))))
 
 
 def _same_block(left: Model, right: Model, block: list) -> Relation:
@@ -328,28 +371,27 @@ def _same_block(left: Model, right: Model, block: list) -> Relation:
         for j, v in enumerate(right.states) if block[i] == block[off + j]))
 
 
-# ---------------------------------------------------------------------------
-# Definable-pair closure
+def _require_cap(blocks: int, cap: int) -> None:
+    if 1 << blocks > cap:
+        raise ResourceLimitError(
+            f"definable pair family exceeded cap of {cap} pairs", cap=cap)
 
-_RECIPE_NODES = {"atom": Atom, "top": Top, "not": Not, "and": And, "K": Know,
-                 "Bplus": SafeBelief, "Gt": GtBox, "Bc": CondBelief}
 
-
-@dataclass
+@dataclass(frozen=True)
 class PairFamily:
-    """Family of simultaneously-definable truth-set pairs across two models.
+    """Family of simultaneously-definable truth-set pairs across two models:
+    the unions of the blocks of their modal-equivalence partition.
 
-    ``pairs[k]`` is the truth-set pair produced by ``recipes[k]``; a recipe
-    records the generating atom or operation so each member can be replayed
-    into a concrete formula whose truth sets realize the pair.
+    ``pairs[k]`` is the union of the blocks i for the bits i of k, and
+    ``blocks[i]`` a formula true exactly on block i, so :meth:`formula`
+    gives each member a formula whose truth sets realize it.
     """
 
     left: Model
     right: Model
     fragment: Fragment
     pairs: tuple
-    recipes: tuple
-    _formulas: dict = field(default_factory=dict, repr=False)
+    blocks: tuple
 
     def __len__(self):
         return len(self.pairs)
@@ -358,16 +400,8 @@ class PairFamily:
         return {pair: k for k, pair in enumerate(self.pairs)}
 
     def formula(self, k: int) -> Formula:
-        """Replay recipe k into a formula realizing pairs[k]."""
-        got = self._formulas.get(k)
-        if got is not None:
-            return got
-        op, *args = self.recipes[k]
-        # Strings are atom and agent names; ints are earlier members.
-        out = _RECIPE_NODES[op](*[self.formula(x) if isinstance(x, int) else x
-                                  for x in args])
-        self._formulas[k] = out
-        return out
+        """The disjunction of the formulas of the blocks in pairs[k]."""
+        return _disj(self.blocks, k)
 
     def agree(self, w: str, v: str) -> bool:
         """Do w (left) and v (right) fall on the same side of every pair?"""
@@ -385,74 +419,37 @@ def _require_static(left: Model, right: Model, fragment: Fragment) -> None:
 
 def definable_pairs(left: Model, right: Model, fragment: Fragment,
                     cap: int = DEFAULT_FAMILY_CAP) -> PairFamily:
-    """Close the atom pairs and the pair of full state sets under the
-    fragment's operations, simultaneously in both models.
+    """The definable-pair family of the fragment over the two models: the
+    2^k unions of the k blocks of the modal-equivalence partition.  More
+    than ``cap`` unions raise :class:`ResourceLimitError`.
 
-    The family lives inside the finite lattice of subset pairs, so the
-    closure terminates; ``cap`` bounds its size and a crossing raises
-    :class:`ResourceLimitError`.
+    Each block gets a formula true exactly on it in both models, built
+    round by round.  A first block's formula is the conjunction of its atom
+    literals.  A block split off an old block takes the old block's
+    formula, and one conjunct from :func:`_separator` per sibling split off
+    the same old block.
     """
     _require_static(left, right, fragment)
+    clauses = _clauses(left.agents, fragment.operators)
+    atoms = [Atom(p) for p in _atoms_of(left, right)]
+    for r, (sig, block) in enumerate(_rounds(left, right, fragment.operators)):
+        first: dict = {}
+        for x, b in enumerate(block):
+            first.setdefault(b, x)
+        if r == 0:
+            formulas = [_conj([f if v else Not(f) for f, v in zip(atoms, sig[x])])
+                        for x in first.values()]
+            continue
+        old = formulas
+        formulas = [_conj([old[sig[x][0]]] + [
+            _separator(old, clauses, sig[x], sig[y]) for y in first.values()
+            if y != x and sig[y][0] == sig[x][0]]) for x in first.values()]
+    _require_cap(len(formulas), cap)
     li, ri = left.index, right.index
-    agents = left.agents
-    entries: list[tuple[int, int]] = []
-    recipes: list[tuple] = []
-    seen: dict = {}
-    memos: dict = {li: {}, ri: {}}
-
-    def step(ix, kind, a, sub, cond=None):
-        """One side's truth mask of a modal step, memoized for this call,
-        as are the best-state groups of each condition.  The keys hold no
-        objects, so the garbage collector soon stops tracking them."""
-        memo = memos[ix]
-        got = memo.get((kind, a, sub, cond))
-        if got is None:
-            groups = memo.get((kind, a, cond))
-            if groups is None:
-                groups = memo[(kind, a, cond)] = (
-                    ix.best(a, cond) if kind == "Bc" else ix.groups(kind, a))
-            got = memo[(kind, a, sub, cond)] = box(groups, sub)
-        return got
-
-    def add(pair, recipe) -> None:
-        if pair in seen:
-            return
-        if len(entries) >= cap:
-            raise ResourceLimitError(
-                f"definable pair family exceeded cap of {cap} pairs", cap=cap)
-        seen[pair] = len(entries)
-        entries.append(pair)
-        recipes.append(recipe)
-
-    for p in _atoms_of(left, right):
-        add((li.atom(p), ri.atom(p)), ("atom", p))
-    add((li.live, ri.live), ("top",))
-
-    unary = [k for k in ("K", "Bplus", "Gt") if k in fragment]
-    use_bc = "Bc" in fragment
-    i = 0
-    while i < len(entries):
-        ml, mr = entries[i]
-        add((li.live & ~ml, ri.live & ~mr), ("not", i))
-        for j in range(i + 1):
-            nl, nr = entries[j]
-            add((ml & nl, mr & nr), ("and", i, j))
-        for kind in unary:
-            for a in agents:
-                add((step(li, kind, a, ml), step(ri, kind, a, mr)), (kind, a, i))
-        if use_bc:
-            for a in agents:
-                for j in range(i + 1):
-                    nl, nr = entries[j]
-                    add((step(li, "Bc", a, nl, ml), step(ri, "Bc", a, nr, mr)),
-                        ("Bc", a, i, j))
-                    if j != i:
-                        add((step(li, "Bc", a, ml, nl), step(ri, "Bc", a, mr, nr)),
-                            ("Bc", a, j, i))
-        i += 1
-
-    pairs = tuple((li.names(ml), ri.names(mr)) for ml, mr in entries)
-    return PairFamily(left, right, fragment, pairs, tuple(recipes))
+    off = len(li.states)
+    pairs = tuple((li.names(u & (1 << off) - 1), ri.names(u >> off))
+                  for u in _unions(_block_masks(block)))
+    return PairFamily(left, right, fragment, pairs, tuple(formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +464,8 @@ def check_bc(rel: Relation, fragment: Fragment,
     The family is the 2^k unions of the k blocks of the modal-equivalence
     partition; more than ``cap`` of them raises
     :class:`ResourceLimitError`.  The clauses are decided over those
-    unions, and the family itself is built only when one fails, to report
-    the violation.
+    unions, and the family's formulas are built only when one fails, to
+    name the violation's condition.
     """
     if fragment.operators not in BC_FRAGMENTS:
         raise InputError(
@@ -486,19 +483,17 @@ def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list,
     is a union of the partition's blocks, of which there may be at most
     cap.  Only the unions of the blocks meeting the two classes matter, and
     each distinct (class, order, class, order) is tried once.  At the first
-    pair and agent that fails, the family is built and its members are
-    scanned there in order, to name the condition: the family holds the
-    same pairs as the unions, so this is the family scan's first violation."""
+    pair and agent that fails, every union is scanned there in the family's
+    order, and the first that fails is named by its family formula: this
+    is the family scan's first violation."""
     base = check_structural(rel, Fragment(fragment.operators - {"Bc"}))
     if not base.ok:
         return base
-    if 1 << (max(block, default=-1) + 1) > cap:
-        raise ResourceLimitError(
-            f"definable pair family exceeded cap of {cap} pairs", cap=cap)
+    masks = _block_masks(block)
+    _require_cap(len(masks), cap)
     li, ri = rel.left.index, rel.right.index
     off = len(li.states)
     l_img, r_img = _images(rel)
-    masks = _block_masks(block)
     seen = set()
     for w, v in rel.sorted_pairs():
         wi, vi = li.pos[w], ri.pos[v]
@@ -510,23 +505,29 @@ def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list,
                 continue
             seen.add(key)
 
-            def miss(lc, rc):
-                return _unmatched(li.least(l_ord, lc & l_row),
-                                  ri.least(r_ord, rc & r_row), l_img, r_img)
+            def miss(c):
+                return _unmatched(li.least(l_ord, c & l_row),
+                                  ri.least(r_ord, c >> off & r_row), l_img, r_img)
 
-            if not any(miss(c, c >> off)
-                       for c in _unions(masks, l_row | r_row << off)):
+            if not any(map(miss, _unions(masks, l_row | r_row << off))):
                 continue
+            k, (side, x) = next((k, found) for k, found in
+                                enumerate(map(miss, _unions(masks))) if found)
             family = definable_pairs(rel.left, rel.right, fragment, cap=cap)
-            for k, (ls, rs) in enumerate(family.pairs):
-                found = miss(li.mask(ls), ri.mask(rs))
-                if found:
-                    side, x = found
-                    names = li.states if side == "zig" else ri.states
-                    return CheckResult(False, Violation(
-                        f"Bc-{side}", (w, v), agent=agent, state=names[x],
-                        detail=f"condition {format_formula(family.formula(k))}"))
+            names = li.states if side == "zig" else ri.states
+            return CheckResult(False, Violation(
+                f"Bc-{side}", (w, v), agent=agent, state=names[x],
+                detail=f"condition {format_formula(family.formula(k))}"))
     return CheckResult(True)
+
+
+def _bc_equivalence(left: Model, right: Model, fragment: Fragment) -> tuple:
+    """The Bc fragment's modal-equivalence relation between the two models,
+    and :func:`check_bc`'s verdict on it, from one refinement."""
+    _require_same_agents(left, right)
+    block = _partition(left, right, fragment.operators)
+    rel = _same_block(left, right, block)
+    return rel, _check_bc_blocks(rel, fragment, block, DEFAULT_FAMILY_CAP)
 
 
 def modal_equiv(left: Model, w: str, right: Model, v: str,
@@ -559,9 +560,5 @@ def hennessy_milner(left: Model, right: Model) -> HMReport:
     """Compute the K+Bc modal-equivalence relation between two models and
     verify it is itself a K+Bc bisimulation.  On finite models this must
     succeed; a failure report means the toolkit itself is broken."""
-    fragment = Fragment.of("K", "Bc")
-    _require_same_agents(left, right)
-    block = _partition(left, right, fragment.operators)
-    rel = _same_block(left, right, block)
-    res = _check_bc_blocks(rel, fragment, block, DEFAULT_FAMILY_CAP)
+    rel, res = _bc_equivalence(left, right, Fragment.of("K", "Bc"))
     return HMReport(res.ok, rel, res.violation)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
 (including an unreadable file and a formula nested too deeply to parse or
-print), 3 resource cap exceeded.
+print), 3 resource cap exceeded, 4 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -278,6 +278,10 @@ def main(argv=None) -> int:
     except CorpusError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        # A fault of the toolkit, not a verdict: never exit 1 for it.
+        print(f"error: internal error: {e!r}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

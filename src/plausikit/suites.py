@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bisim import (block_unions, check_bc, check_structural, definable_pairs,
+from .bisim import (_bc_equivalence, check_structural, definable_pairs,
                     greatest_structural, hennessy_milner)
 from .dynamics import announce, upgrade
 from .errors import InputError
@@ -125,13 +125,15 @@ def _equivalence_suite(report, bisim_fragment, formula_fragment,
     fragment's own clauses (the quantified ones when Bc is in it), then
     check formula agreement along it, on 12 random formulas of depth 3 over
     two agents and two atoms."""
-    check = check_bc if "Bc" in bisim_fragment else check_structural
     for trial, trial_seed, trng in _trials(report):
         left, right = _model_pair(trng, sizes[0], sizes[1], 2, 2,
                                   uniform=uniform,
                                   locally_connected=locally_connected)
-        z = greatest_structural(left, right, bisim_fragment)
-        res = check(z, bisim_fragment)
+        if "Bc" in bisim_fragment:
+            z, res = _bc_equivalence(left, right, bisim_fragment)
+        else:
+            z = greatest_structural(left, right, bisim_fragment)
+            res = check_structural(z, bisim_fragment)
         if not res.ok:
             report.failures.append(_blame(
                 trial, trial_seed,
@@ -563,23 +565,15 @@ def _pairfamily_suite(report):
                 f"only_oracle={len(oracle - family_set)}",
                 (left, right)))
             continue
-        unions = block_unions(left, right, fragment)
-        if family_set != unions:
-            report.failures.append(_blame(
-                trial, trial_seed,
-                f"family differs from the unions of refined blocks: "
-                f"only_family={len(family_set - unions)} "
-                f"only_blocks={len(unions - family_set)}",
-                (left, right)))
-            continue
 
-        # Each member must be realized by replaying its own recipe.
+        # Each member must be realized by its own formula.
         evl, evr = Evaluator(), Evaluator()
         for k, (ls, rs) in enumerate(family.pairs):
             f = family.formula(k)
             if evl.truth_set(left, f) != ls or evr.truth_set(right, f) != rs:
                 report.failures.append(_blame(
-                    trial, trial_seed, f"recipe {k} does not replay", (left, right), (f,)))
+                    trial, trial_seed, f"formula {k} does not realize its pair",
+                    (left, right), (f,)))
                 break
         else:
             # Every enumerated formula must land inside the family.

@@ -9,6 +9,8 @@ part for ``validate``, the two ``ref_*_counterexample`` scans for the
 property checks that read index rows, ``ref_reduce_dynamic`` for
 ``reduce_dynamic``, and ``ref_greatest_structural`` and ``ref_check_bc`` for
 the bisimulation procedures that now read the partition-refinement engine.
+``ref_definable_pairs`` computes the definable-pair family by closure, apart
+from the refined blocks that ``definable_pairs`` reads it off.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
-from plausikit.model import bits
+from plausikit.model import bits, box
 from plausikit.rewrite import _contract, replace_at, subterm_at
 from plausikit.syntax import children
 
@@ -299,6 +301,40 @@ def ref_check_bc(rel: Relation, fragment: Fragment, cap: int = 4096) -> CheckRes
                         f"Bc-{side}", (w, v), agent=agent, state=names[x],
                         detail=f"condition {format_formula(family.formula(k))}"))
     return CheckResult(True)
+
+
+def ref_definable_pairs(left: Model, right: Model, fragment: Fragment) -> frozenset:
+    """The definable-pair family by closure: the least set of truth-set
+    pairs holding every atom pair and the pair of full state sets, closed
+    under componentwise complement, intersection and the fragment's modal
+    steps, with Bc conditions drawn from the set itself."""
+    li, ri = left.index, right.index
+    entries: list = []
+    seen: set = set()
+
+    def add(pair):
+        if pair not in seen:
+            seen.add(pair)
+            entries.append(pair)
+
+    for p in sorted(set(left.valuation) | set(right.valuation)):
+        add((li.atom(p), ri.atom(p)))
+    add((li.live, ri.live))
+    unary = [k for k in ("K", "Bplus", "Gt") if k in fragment]
+    i = 0
+    while i < len(entries):
+        ml, mr = entries[i]
+        add((li.live & ~ml, ri.live & ~mr))
+        for kind in unary:
+            for a in left.agents:
+                add((box(li.groups(kind, a), ml), box(ri.groups(kind, a), mr)))
+        for nl, nr in entries[:i + 1]:
+            add((ml & nl, mr & nr))
+            for a in left.agents if "Bc" in fragment else ():
+                add((box(li.best(a, ml), nl), box(ri.best(a, mr), nr)))
+                add((box(li.best(a, nl), ml), box(ri.best(a, nr), mr)))
+        i += 1
+    return frozenset((li.names(ml), ri.names(mr)) for ml, mr in entries)
 
 
 def ref_announce(m: Model, ann) -> Model:

@@ -263,10 +263,11 @@ class TestModalEquiv:
     @settings(max_examples=40, deadline=None)
     @given(models(max_states=3, max_agents=1))
     def test_equivalence_respects_every_definable_pair(self, m):
-        fam = definable_pairs(m, m, KBC)
+        from helpers import ref_definable_pairs
+        family = ref_definable_pairs(m, m, KBC)
         for w in m.states:
             for v in m.states:
-                expected = all((w in ls) == (v in rs) for ls, rs in fam.pairs)
+                expected = all((w in ls) == (v in rs) for ls, rs in family)
                 assert modal_equiv(m, w, m, v, KBC) == expected
 
 
@@ -311,7 +312,8 @@ from hypothesis import strategies as st
 
 from plausikit import BC_FRAGMENTS
 
-from helpers import ref_check_bc, ref_greatest_structural
+from helpers import (ref_check_bc, ref_definable_pairs, ref_greatest_structural,
+                     ref_holds)
 
 STATIC_FRAGMENTS = [Fragment.of(*ops)
                     for r in range(1, 5)
@@ -337,6 +339,11 @@ def model_pairs(draw, max_states=3):
     return left, rename_states(right)
 
 
+def agree(family, w, v):
+    """Do w (left) and v (right) fall on the same side of every pair?"""
+    return all((w in ls) == (v in rs) for ls, rs in family)
+
+
 def atom_respecting(left, right):
     atoms = sorted(set(left.valuation) | set(right.valuation))
     return sorted((w, v) for w in left.states for v in right.states
@@ -349,21 +356,41 @@ def atom_respecting(left, right):
 def test_modal_equiv_is_agreement_on_the_family_in_every_static_fragment(pair):
     left, right = pair
     for frag in STATIC_FRAGMENTS:
-        fam = definable_pairs(left, right, frag)
+        family = ref_definable_pairs(left, right, frag)
         for w in left.states:
             for v in right.states:
                 assert (modal_equiv(left, w, right, v, frag)
-                        == fam.agree(w, v)), (frag, w, v)
+                        == agree(family, w, v)), (frag, w, v)
 
 
 @settings(max_examples=40, deadline=None)
 @given(model_pairs())
 def test_family_is_the_unions_of_the_refined_blocks(pair):
-    from plausikit.bisim import block_unions
     left, right = pair
     for frag in STATIC_FRAGMENTS:
-        assert set(definable_pairs(left, right, frag).pairs) == block_unions(
+        assert set(definable_pairs(left, right, frag).pairs) == ref_definable_pairs(
             left, right, frag), frag
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_pairs())
+def test_block_formulas_are_exact_in_every_static_fragment(pair):
+    """The family equals the closure, every member's formula realizes it,
+    and each block's own formula holds exactly on the block under the
+    reference evaluator."""
+    left, right = pair
+    for frag in STATIC_FRAGMENTS:
+        fam = definable_pairs(left, right, frag)
+        assert len(fam.pairs) == 2 ** len(fam.blocks)
+        assert set(fam.pairs) == ref_definable_pairs(left, right, frag), frag
+        evl, evr = Evaluator(), Evaluator()
+        for k, pair_k in enumerate(fam.pairs):
+            f = fam.formula(k)
+            assert (evl.truth_set(left, f), evr.truth_set(right, f)) == pair_k, (frag, k)
+        for i, f in enumerate(fam.blocks):
+            ls, rs = fam.pairs[1 << i]
+            assert {w for w in left.states if ref_holds(left, w, f)} == ls, (frag, i)
+            assert {v for v in right.states if ref_holds(right, v, f)} == rs, (frag, i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,6 +433,48 @@ def test_check_bc_reports_the_family_scans_violation_on_the_corpus():
             assert check_bc(entry.relation, frag) == ref_check_bc(entry.relation, frag)
 
 
+def _named_condition(violation):
+    """The condition formula a Bc violation names."""
+    from plausikit import parse
+    assert violation.detail.startswith("condition ")
+    return parse(violation.detail[len("condition "):])
+
+
+def test_named_condition_refutes_the_corpus_relations():
+    named = 0
+    for entry in load_corpus():
+        for ops in BC_FRAGMENTS:
+            res = check_bc(entry.relation, Fragment(ops))
+            if not res.ok and res.violation.clause.startswith("Bc-"):
+                named += 1
+                assert _formula_quantifier_violates(
+                    entry.relation, [_named_condition(res.violation)]), (entry.name, ops)
+    assert named
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_pairs(), st.data())
+def test_named_condition_is_a_witness(pair, data):
+    """Wherever check_bc fails at a Bc clause, the condition it names breaks
+    the clause, checked straight on the formula's truth sets."""
+    left, right = pair
+    respecting = atom_respecting(left, right)
+    if not respecting:
+        return
+    for ops in BC_FRAGMENTS:
+        frag = Fragment(ops)
+        hm = greatest_structural(left, right, frag).pairs
+        drawn = frozenset(data.draw(st.sets(st.sampled_from(respecting)), label="atoms"))
+        flip = frozenset(data.draw(st.sets(st.sampled_from(respecting), min_size=1,
+                                           max_size=2), label="flip"))
+        for pairs in (drawn, hm ^ flip):
+            rel = Relation(left, right, pairs)
+            res = check_bc(rel, frag)
+            if not res.ok and res.violation.clause.startswith("Bc-"):
+                assert _formula_quantifier_violates(
+                    rel, [_named_condition(res.violation)]), (frag, sorted(pairs))
+
+
 def test_check_bc_caps_at_the_family_size():
     from plausikit import rename_states
     from plausikit.bisim import _partition
@@ -430,8 +499,8 @@ def test_greatest_bc_bisimulation_is_the_equivalence_relation(pair, data):
     for ops in BC_FRAGMENTS:
         frag = Fragment(ops)
         z = greatest_structural(left, right, frag)
-        fam = definable_pairs(left, right, frag)
-        assert z.pairs == frozenset((w, v) for w, v in every if fam.agree(w, v))
+        family = ref_definable_pairs(left, right, frag)
+        assert z.pairs == frozenset((w, v) for w, v in every if agree(family, w, v))
         assert check_bc(z, frag).ok
         drawn = frozenset(data.draw(st.sets(st.sampled_from(every))))
         for pairs in (drawn, drawn | z.pairs):

@@ -344,6 +344,23 @@ def test_resource_cap_exits_3(corpus_files, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_unexpected_error_exits_4_with_one_line(corpus_files, capsys, monkeypatch):
+    """An exception no handler expects is a fault of the toolkit: one
+    error line and exit 4, not a traceback and the false-verdict code."""
+    import plausikit.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli_mod, "check_bc", broken)
+    left, right, z = corpus_files["thm15"]
+    code, out, err = run(capsys, "bisim", left, right,
+                         "--fragment", "K,Bc", "--relation", z)
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: KeyError('lost')\n"
+
+
 @pytest.mark.parametrize("text", [
     "[up p] [up q] [up r] B[a | q] r",
     "[up q] [up p] [up q] [up r] [up p] B[b | p] r",
