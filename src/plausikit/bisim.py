@@ -18,8 +18,8 @@ Three kinds of procedure live here:
   unions.  Every split is definable from the blocks of the round before,
   so each block gets a formula true exactly on it, built from the rounds'
   signatures, and each member the disjunction of its blocks' formulas.
-  The check decides the clauses over the unions, and builds the formulas
-  only to name the condition of a violation.
+  The check decides the clauses for every union at once by propagation,
+  and builds the block formulas only to name the condition of a violation.
 
 State sets are handled as bitmasks internally; the public surface speaks in
 frozensets of state names.
@@ -157,18 +157,6 @@ def _images(rel: Relation):
     return l_img, r_img
 
 
-def _unmatched(lt: int, rt: int, l_img: list, r_img: list):
-    """("zig", x) for the first x in lt with no partner in rt, else
-    ("zag", y) for the first y in rt with none in lt; None when both match."""
-    for x in bits(lt):
-        if not l_img[x] & rt:
-            return "zig", x
-    for y in bits(rt):
-        if not r_img[y] & lt:
-            return "zag", y
-    return None
-
-
 def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
     """Check the atoms clause plus the zig and zag clauses of every requested
     structural notion.  The first violation (pairs, agents, states and
@@ -193,14 +181,15 @@ def check_structural(rel: Relation, fragment: Fragment) -> CheckResult:
             continue
         for w, v in rel.sorted_pairs():
             for agent in left.agents:
-                miss = _unmatched(li.targets(kind, agent)[li.pos[w]],
-                                  ri.targets(kind, agent)[ri.pos[v]],
-                                  l_img, r_img)
-                if miss:
-                    side, x = miss
-                    names = li.states if side == "zig" else ri.states
-                    return CheckResult(False, Violation(
-                        f"{kind}-{side}", (w, v), agent=agent, state=names[x]))
+                lt = li.targets(kind, agent)[li.pos[w]]
+                rt = ri.targets(kind, agent)[ri.pos[v]]
+                # zig: a state lt holds with no partner in rt; zag: the converse
+                for side, ts, img, other, names in (("zig", lt, l_img, rt, li.states),
+                                                    ("zag", rt, r_img, lt, ri.states)):
+                    x = next((x for x in bits(ts) if not img[x] & other), None)
+                    if x is not None:
+                        return CheckResult(False, Violation(
+                            f"{kind}-{side}", (w, v), agent=agent, state=names[x]))
     return CheckResult(True)
 
 
@@ -354,13 +343,11 @@ def _block_masks(block: list) -> list:
     return masks
 
 
-def _unions(masks: list, within: int = -1) -> list:
-    """Every union of the masks that meet within, each cut to within.  With
-    every mask meeting within, union k holds mask i when bit i of k is set."""
+def _unions(masks: list) -> list:
+    """Every union of the masks: union k holds mask i when bit i of k is set."""
     got = [0]
     for m in masks:
-        if m & within:
-            got += [u | m & within for u in got]
+        got += [u | m for u in got]
     return got
 
 
@@ -417,22 +404,15 @@ def _require_static(left: Model, right: Model, fragment: Fragment) -> None:
         raise InputError(f"unknown static operators: {sorted(bad)}")
 
 
-def definable_pairs(left: Model, right: Model, fragment: Fragment,
-                    cap: int = DEFAULT_FAMILY_CAP) -> PairFamily:
-    """The definable-pair family of the fragment over the two models: the
-    2^k unions of the k blocks of the modal-equivalence partition.  More
-    than ``cap`` unions raise :class:`ResourceLimitError`.
-
-    Each block gets a formula true exactly on it in both models, built
-    round by round.  A first block's formula is the conjunction of its atom
-    literals.  A block split off an old block takes the old block's
-    formula, and one conjunct from :func:`_separator` per sibling split off
-    the same old block.
-    """
-    _require_static(left, right, fragment)
-    clauses = _clauses(left.agents, fragment.operators)
+def _block_formulas(left: Model, right: Model, ops: frozenset) -> tuple:
+    """The block numbers of :func:`_partition`, and per block a formula
+    true exactly on it in both models, built round by round.  A first
+    block's formula is the conjunction of its atom literals.  A block split
+    off an old block takes the old block's formula, and one conjunct from
+    :func:`_separator` per sibling split off the same old block."""
+    clauses = _clauses(left.agents, ops)
     atoms = [Atom(p) for p in _atoms_of(left, right)]
-    for r, (sig, block) in enumerate(_rounds(left, right, fragment.operators)):
+    for r, (sig, block) in enumerate(_rounds(left, right, ops)):
         first: dict = {}
         for x, b in enumerate(block):
             first.setdefault(b, x)
@@ -444,6 +424,17 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
         formulas = [_conj([old[sig[x][0]]] + [
             _separator(old, clauses, sig[x], sig[y]) for y in first.values()
             if y != x and sig[y][0] == sig[x][0]]) for x in first.values()]
+    return block, formulas
+
+
+def definable_pairs(left: Model, right: Model, fragment: Fragment,
+                    cap: int = DEFAULT_FAMILY_CAP) -> PairFamily:
+    """The definable-pair family of the fragment over the two models: the
+    2^k unions of the k blocks of the modal-equivalence partition, each
+    block named by its formula from :func:`_block_formulas`.  More than
+    ``cap`` unions raise :class:`ResourceLimitError`."""
+    _require_static(left, right, fragment)
+    block, formulas = _block_formulas(left, right, fragment.operators)
     _require_cap(len(formulas), cap)
     li, ri = left.index, right.index
     off = len(li.states)
@@ -455,17 +446,14 @@ def definable_pairs(left: Model, right: Model, fragment: Fragment,
 # ---------------------------------------------------------------------------
 # Conditional-belief notion, equivalence, Hennessy-Milner
 
-def check_bc(rel: Relation, fragment: Fragment,
-             cap: int = DEFAULT_FAMILY_CAP) -> CheckResult:
+def check_bc(rel: Relation, fragment: Fragment) -> CheckResult:
     """Check the conditional-belief zig and zag clauses with the condition
     quantifier ranging over the definable-pair family of the fragment, plus
     the structural clauses of any other operators in the fragment.
 
-    The family is the 2^k unions of the k blocks of the modal-equivalence
-    partition; more than ``cap`` of them raises
-    :class:`ResourceLimitError`.  The clauses are decided over those
-    unions, and the family's formulas are built only when one fails, to
-    name the violation's condition.
+    The family is the unions of the blocks of the modal-equivalence
+    partition.  :func:`_refutation` decides a clause for all of them at
+    once, so the family is never built and no block count is capped.
     """
     if fragment.operators not in BC_FRAGMENTS:
         raise InputError(
@@ -473,24 +461,39 @@ def check_bc(rel: Relation, fragment: Fragment,
             "Bc, K+Bc and K+Bplus+Bc; got " + str(fragment))
     _require_same_agents(rel.left, rel.right)
     block = _partition(rel.left, rel.right, fragment.operators)
-    return _check_bc_blocks(rel, fragment, block, cap)
+    return _check_bc_blocks(rel, fragment, block)
 
 
-def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list,
-                     cap: int) -> CheckResult:
+def _refutation(x: int, partners: list, strict: dict, blocks: list, on: int) -> int:
+    """The zig clause at position x for every union C of blocks at once:
+    the states of the two classes (on) in a C whose most plausible states
+    hold x and none of its partners, or 0 when no C does.  blocks[z] is the
+    block of z, strict[z] the states of z's class strictly more plausible.
+    The clauses on C's blocks are dual-Horn, and propagation finds the
+    largest C: drop the blocks of strict[x], then the block of each partner
+    none of whose strict[y] is left, until none is dropped."""
+    for z in bits(strict[x]):
+        on &= ~blocks[z]
+    while on >> x & 1:
+        drop = [blocks[y] for y in partners if on >> y & 1 and not on & strict[y]]
+        if not drop:
+            return on
+        on &= ~reduce(or_, drop)
+    return 0
+
+
+def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list) -> CheckResult:
     """The structural clauses of the fragment's other operators, then the
-    Bc clauses at each pair and agent, in order, for every condition that
-    is a union of the partition's blocks, of which there may be at most
-    cap.  Only the unions of the blocks meeting the two classes matter, and
-    each distinct (class, order, class, order) is tried once.  At the first
-    pair and agent that fails, every union is scanned there in the family's
-    order, and the first that fails is named by its family formula: this
-    is the family scan's first violation."""
+    Bc clauses at each pair and agent in order, each distinct (class,
+    order, class, order) once, by :func:`_refutation` at every state of
+    w's class (zig), then of v's (zag).  The first failing state is
+    reported, with its condition named by the formulas of the witness
+    union's blocks."""
     base = check_structural(rel, Fragment(fragment.operators - {"Bc"}))
     if not base.ok:
         return base
     masks = _block_masks(block)
-    _require_cap(len(masks), cap)
+    blocks = [masks[b] for b in block]
     li, ri = rel.left.index, rel.right.index
     off = len(li.states)
     l_img, r_img = _images(rel)
@@ -504,20 +507,20 @@ def _check_bc_blocks(rel: Relation, fragment: Fragment, block: list,
             if key in seen:
                 continue
             seen.add(key)
-
-            def miss(c):
-                return _unmatched(li.least(l_ord, c & l_row),
-                                  ri.least(r_ord, c >> off & r_row), l_img, r_img)
-
-            if not any(map(miss, _unions(masks, l_row | r_row << off))):
-                continue
-            k, (side, x) = next((k, found) for k, found in
-                                enumerate(map(miss, _unions(masks))) if found)
-            family = definable_pairs(rel.left, rel.right, fragment, cap=cap)
-            names = li.states if side == "zig" else ri.states
-            return CheckResult(False, Violation(
-                f"Bc-{side}", (w, v), agent=agent, state=names[x],
-                detail=f"condition {format_formula(family.formula(k))}"))
+            strict = {x + k: (o.below[x] & ~o.above[x] & row) << k for row, o, k
+                      in ((l_row, l_ord, 0), (r_row, r_ord, off)) for x in bits(row)}
+            for side, row, img, other, mine, theirs, names in (
+                    ("zig", l_row, l_img, r_row, 0, off, li.states),
+                    ("zag", r_row, r_img, l_row, off, 0, ri.states)):
+                for x in bits(row):
+                    on = _refutation(x + mine, _positions(img[x] & other, theirs),
+                                     strict, blocks, l_row | r_row << off)
+                    if on:
+                        fs = _block_formulas(rel.left, rel.right, fragment.operators)[1]
+                        c = _disj(fs, reduce(or_, (1 << block[z] for z in bits(on))))
+                        return CheckResult(False, Violation(
+                            f"Bc-{side}", (w, v), agent=agent, state=names[x],
+                            detail=f"condition {format_formula(c)}"))
     return CheckResult(True)
 
 
@@ -527,7 +530,7 @@ def _bc_equivalence(left: Model, right: Model, fragment: Fragment) -> tuple:
     _require_same_agents(left, right)
     block = _partition(left, right, fragment.operators)
     rel = _same_block(left, right, block)
-    return rel, _check_bc_blocks(rel, fragment, block, DEFAULT_FAMILY_CAP)
+    return rel, _check_bc_blocks(rel, fragment, block)
 
 
 def modal_equiv(left: Model, w: str, right: Model, v: str,
@@ -558,7 +561,8 @@ class HMReport:
 
 def hennessy_milner(left: Model, right: Model) -> HMReport:
     """Compute the K+Bc modal-equivalence relation between two models and
-    verify it is itself a K+Bc bisimulation.  On finite models this must
-    succeed; a failure report means the toolkit itself is broken."""
+    verify it is itself a K+Bc bisimulation, from one refinement and with
+    no cap on its blocks.  On finite models this must succeed; a failure
+    report means the toolkit itself is broken."""
     rel, res = _bc_equivalence(left, right, Fragment.of("K", "Bc"))
     return HMReport(res.ok, rel, res.violation)

@@ -17,8 +17,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bisim import (_bc_equivalence, check_structural, definable_pairs,
-                    greatest_structural, hennessy_milner)
+from .bisim import (_bc_equivalence, _block_formulas, check_structural,
+                    definable_pairs, greatest_structural, hennessy_milner)
 from .dynamics import announce, upgrade
 from .errors import InputError
 from .generate import GenSpec, generate, random_formula, rename_states
@@ -426,17 +426,11 @@ def _translation_suite(report, unfold, total_within_class, counterexample,
 
 def _dynamic_future_suite(report):
     """Bisimilar pairs must agree on every K+Bc+Bplus formula after the
-    dynamics.  The formulas checked are one witness per member of the
-    definable-pair family, which stands for the whole language at every
-    depth."""
+    dynamics.  The formulas checked are the formulas of the blocks of the
+    modal-equivalence partition: every formula's truth sets are a union of
+    blocks, so agreement on each block formula is agreement on the whole
+    language at every depth."""
     static = Fragment.of("K", "Bc", "Bplus")
-
-    def agreement_failures(cl, cr, pairs, trial, trial_seed):
-        fam = definable_pairs(cl, cr, static)
-        return _agreement_failures(
-            cl, cr, pairs, [fam.formula(k) for k in range(len(fam))],
-            trial, trial_seed)
-
     for trial, trial_seed, trng in _trials(report):
         left = generate(GenSpec(2, 4, 2, 2, uniform=True, locally_connected=True,
                                 seed=trng.getrandbits(48)))
@@ -447,6 +441,10 @@ def _dynamic_future_suite(report):
                 trial, trial_seed, "no bisimilar pairs on an isomorphic copy",
                 (left, right)))
             continue
+
+        def agreement_failures(cl, cr, pairs):
+            formulas = _block_formulas(cl, cr, static.operators)[1]
+            return _agreement_failures(cl, cr, pairs, formulas, trial, trial_seed)
 
         def surviving_announcement(cl, cr, pairs):
             for _ in range(40):
@@ -463,14 +461,12 @@ def _dynamic_future_suite(report):
         phi, kept = surviving_announcement(left, right, z.pairs)
         if phi is not None:
             report.failures.extend(agreement_failures(
-                announce(left, phi), announce(right, phi), kept,
-                trial, trial_seed))
+                announce(left, phi), announce(right, phi), kept))
 
         # One upgrade, at every bisimilar pair.
         psi = random_formula(trng, sorted(left.valuation), left.agents, static, 2)
         report.failures.extend(agreement_failures(
-            upgrade(left, psi), upgrade(right, psi), z.pairs,
-            trial, trial_seed))
+            upgrade(left, psi), upgrade(right, psi), z.pairs))
 
         # A three-step mixed history.
         cl, cr, pairs = left, right, z.pairs
@@ -485,8 +481,7 @@ def _dynamic_future_suite(report):
                                      static, 2)
                 cl, cr = upgrade(cl, phi), upgrade(cr, phi)
         if pairs:
-            report.failures.extend(agreement_failures(
-                cl, cr, pairs, trial, trial_seed))
+            report.failures.extend(agreement_failures(cl, cr, pairs))
 
 
 # ---------------------------------------------------------------------------

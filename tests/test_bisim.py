@@ -421,16 +421,77 @@ def test_check_bc_matches_the_family_scan(pair, data):
                                      label="flip")) if respecting else hm,
         ]
         for pairs in candidates:
-            rel = Relation(left, right, pairs)
-            assert check_bc(rel, frag) == ref_check_bc(rel, frag), (frag, sorted(pairs))
+            _assert_matches_the_family_scan(Relation(left, right, pairs), frag)
         assert check_bc(Relation(left, right, hm), frag).ok
 
 
 def test_check_bc_reports_the_family_scans_violation_on_the_corpus():
     for entry in load_corpus():
         for ops in BC_FRAGMENTS:
-            frag = Fragment(ops)
-            assert check_bc(entry.relation, frag) == ref_check_bc(entry.relation, frag)
+            _assert_matches_the_family_scan(entry.relation, Fragment(ops))
+
+
+def _assert_matches_the_family_scan(rel, frag):
+    """check_bc gives ref_check_bc's verdict.  On a false one it fails at
+    the same pair and agent, with the same violation when that is not a Bc
+    clause; at a Bc clause its named condition must break the clause at
+    the named state, checked on the condition's truth sets."""
+    got, want = check_bc(rel, frag), ref_check_bc(rel, frag)
+    assert got.ok == want.ok, (frag, sorted(rel.pairs))
+    if got.ok:
+        return
+    g, r = got.violation, want.violation
+    assert (g.pair, g.agent) == (r.pair, r.agent), (g, r)
+    if not r.clause.startswith("Bc-"):
+        assert g == r
+        return
+    assert g.clause.startswith("Bc-"), g
+    assert _breaks_the_clause(rel, g), (str(g), sorted(rel.pairs))
+
+
+def _breaks_the_clause(rel, violation):
+    """Is the named state a most plausible state of the named condition in
+    its class, at the violation's pair and agent, with no partner among the
+    other side's most plausible condition states?"""
+    from plausikit import eq_class, min_set, truth_set
+    alpha = _named_condition(violation)
+    (w, v), a = violation.pair, violation.agent
+    lmin = min_set(rel.left, a, w, truth_set(rel.left, alpha) & eq_class(rel.left, a, w))
+    rmin = min_set(rel.right, a, v, truth_set(rel.right, alpha) & eq_class(rel.right, a, v))
+    x = violation.state
+    if violation.clause == "Bc-zig":
+        return x in lmin and not any((x, y) in rel.pairs for y in rmin)
+    return x in rmin and not any((y, x) in rel.pairs for y in lmin)
+
+
+def _structural_part(rel, frag):
+    """The largest subrelation of rel passing the fragment's structural
+    clauses: drop the pair that check_structural blames until none is."""
+    base = Fragment(frag.operators - {"Bc"})
+    pairs = set(rel.pairs)
+    while True:
+        res = check_structural(Relation(rel.left, rel.right, pairs), base)
+        if res.ok:
+            return Relation(rel.left, rel.right, frozenset(pairs))
+        pairs.discard(res.violation.pair)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_pairs(max_states=4), st.data())
+def test_check_bc_matches_the_family_scan_where_only_bc_clauses_can_fail(pair, data):
+    """On relations that pass the structural clauses, every false verdict
+    is at a Bc clause: the propagation is checked where it alone decides."""
+    left, right = pair
+    respecting = atom_respecting(left, right)
+    for ops in BC_FRAGMENTS:
+        frag = Fragment(ops)
+        drawn = frozenset(data.draw(st.sets(st.sampled_from(respecting)), label="atoms")
+                          if respecting else ())
+        for rel in (_structural_part(Relation(left, right, drawn), frag),
+                    greatest_structural(left, right, Fragment(ops - {"Bc"}))):
+            res = check_bc(rel, frag)
+            assert res.ok or res.violation.clause.startswith("Bc-"), res.violation
+            _assert_matches_the_family_scan(rel, frag)
 
 
 def _named_condition(violation):
@@ -483,12 +544,12 @@ def test_check_bc_caps_at_the_family_size():
     rel = Relation(left, right, frozenset((w, "x" + w) for w in left.states))
     size = 2 ** len(set(_partition(left, right, KBC.operators)))
     assert len(definable_pairs(left, right, KBC)) == size
-    assert check_bc(rel, KBC, cap=size).ok
-    for call in (lambda: check_bc(rel, KBC, cap=size - 1),
-                 lambda: definable_pairs(left, right, KBC, cap=size - 1)):
-        with pytest.raises(ResourceLimitError) as err:
-            call()
-        assert err.value.cap == size - 1
+    with pytest.raises(ResourceLimitError) as err:
+        definable_pairs(left, right, KBC, cap=size - 1)
+    assert err.value.cap == size - 1
+    assert str(err.value) == f"definable pair family exceeded cap of {size - 1} pairs"
+    # The check never builds the family, so the cap does not bind it.
+    assert check_bc(rel, KBC).ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,3 +591,36 @@ def test_equivalence_and_true_checks_never_build_the_family(monkeypatch):
         for ops in BC_FRAGMENTS:
             assert check_bc(iso, Fragment(ops)).ok
             assert iso.pairs <= greatest_structural(left, right, Fragment(ops)).pairs
+    # A false verdict names its condition from the block formulas alone.
+    named = 0
+    for entry in load_corpus():
+        for ops in BC_FRAGMENTS:
+            res = check_bc(entry.relation, Fragment(ops))
+            named += not res.ok and res.violation.clause.startswith("Bc-")
+    assert named
+
+
+def _perfbench_pair(n):
+    """The benchmark's n-state model with two classes per agent and a
+    total order per state, against its renamed copy."""
+    import importlib.util
+    import random
+    from pathlib import Path
+    from plausikit import model_from_dict
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    doc = inputs.random_model(random.Random(0), n, 2, "total", False)
+    return model_from_dict(doc), model_from_dict(inputs.renamed(doc)[0])
+
+
+def test_hennessy_milner_and_check_bc_need_no_cap_past_twelve_blocks():
+    """Twenty blocks, a family of 2^20 members: the greatest K+Bc
+    bisimulation passes check_bc, and the equivalence relation is a
+    bisimulation, each decided without the family."""
+    from plausikit.bisim import _partition
+    left, right = _perfbench_pair(20)
+    assert len(set(_partition(left, right, KBC.operators))) == 20
+    assert check_bc(greatest_structural(left, right, KBC), KBC).ok
+    assert hennessy_milner(left, right).ok

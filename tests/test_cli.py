@@ -452,18 +452,68 @@ def test_equiv_past_the_family_cap_gives_a_verdict_quickly(capsys, tmp_path):
     assert (code, out) == (0, "true\n")
 
 
-def test_bc_relation_check_past_the_family_cap_exits_3(capsys, tmp_path):
+def test_bc_relation_check_past_the_family_cap_gives_a_verdict(capsys, tmp_path):
     """Thirteen states with their own valuations against a renamed copy:
-    13 blocks, a family of 2^13 > 4096 pairs."""
+    13 blocks, a family of 2^13 > 4096 pairs.  The check decides its
+    clauses without the family, so it answers instead of exiting 3."""
     left = _ranked_model([f"s{k:02}" for k in range(13)], range(13), "pqrs")
     right = _ranked_model([f"t{k:02}" for k in range(13)], range(13), "pqrs")
     lp, rp = _write(tmp_path / "l.json", left), _write(tmp_path / "r.json", right)
     rel = tmp_path / "rel.json"
-    rel.write_text(json.dumps({"pairs": [[f"s{k:02}", f"t{k:02}"] for k in range(13)]}))
-    code, out, err = run(capsys, "bisim", lp, rp, "--fragment", "K,Bc",
-                         "--relation", str(rel))
-    assert (code, out) == (3, "")
-    assert err == "error: definable pair family exceeded cap of 4096 pairs\n"
+
+    def check(pairs):
+        rel.write_text(json.dumps({"pairs": pairs}))
+        return run(capsys, "bisim", lp, rp, "--fragment", "K,Bc", "--relation", str(rel))
+
+    identity = [[f"s{k:02}", f"t{k:02}"] for k in range(13)]
+    assert check(identity) == (0, "true\n", "")
+    swapped = [["s00", "t01"], ["s01", "t00"]] + identity[2:]
+    code, out, err = check(swapped)
+    assert (code, out.splitlines()[0], err) == (1, "false", "")
+
+
+def _relation_docs():
+    """Relation documents, mostly malformed: not objects, no pairs list,
+    pairs of the wrong shape or type, and unknown state names."""
+    names = st.sampled_from(["s0", "s1", "t0", "t1", "x", ""])
+    pair = st.one_of(st.lists(names, min_size=2, max_size=2),
+                     st.lists(names, max_size=3),
+                     st.tuples(names, st.integers()).map(list),
+                     st.integers(), st.none(), names)
+    return st.one_of(
+        st.fixed_dictionaries({"pairs": st.lists(pair, max_size=5)}),
+        st.fixed_dictionaries({"pairs": st.one_of(st.none(), st.integers(), names,
+                                                  st.dictionaries(names, names))}),
+        st.lists(st.lists(names, min_size=2, max_size=2), max_size=3),
+        st.one_of(st.none(), st.integers(), names, st.just({})))
+
+
+@pytest.fixture(scope="module")
+def two_state_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    left = _ranked_model(["s0", "s1"], [1, 1], "p")
+    right = _ranked_model(["t0", "t1"], [1, 0], "p")
+    return _write(root / "l.json", left), _write(root / "r.json", right), root / "rel.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_relation_docs(), fragment=st.sampled_from(["K", "K,Bc", "Bc", "K,Gt,Bc"]))
+def test_bisim_relation_never_raises(two_state_files, doc, fragment):
+    import contextlib
+    import io
+    lp, rp, rel = two_state_files
+    rel.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bisim", lp, rp, "--fragment", fragment, "--relation", str(rel)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue().splitlines()[0] == ("true" if code == 0 else "false")
 
 
 def test_main_called_repeatedly_matches_fresh_processes(corpus_files, capsys,
