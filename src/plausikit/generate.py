@@ -173,15 +173,17 @@ def generate(spec: GenSpec) -> Model:
 
 def rename_states(m: Model, prefix: str = "x") -> Model:
     """Isomorphic copy with every state renamed; useful for building pairs
-    of trivially bisimilar models."""
-    ren = {s: prefix + s for s in m.states}
+    of trivially bisimilar models.  Names the relations or the valuation
+    hold that are not states of m are kept as they are."""
+    names = {s: prefix + s for s in m.states}
+    ren = lambda s: names.get(s, s)
     return Model(
-        [ren[s] for s in m.states],
+        [names[s] for s in m.states],
         m.agents,
-        {a: frozenset((ren[x], ren[y]) for x, y in rel) for a, rel in m.epist.items()},
-        {(a, ren[w]): frozenset((ren[x], ren[y]) for x, y in rel)
+        {a: frozenset((ren(x), ren(y)) for x, y in rel) for a, rel in m.epist.items()},
+        {(a, ren(w)): frozenset((ren(x), ren(y)) for x, y in rel)
          for (a, w), rel in m.plaus.items()},
-        {p: frozenset(ren[s] for s in xs) for p, xs in m.valuation.items()},
+        {p: frozenset(map(ren, xs)) for p, xs in m.valuation.items()},
     )
 
 

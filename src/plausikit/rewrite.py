@@ -8,7 +8,8 @@ does it: a node's children are normalised left to right, then a dynamic node
 is contracted and its result normalised in place.  A subtree that holds a
 dynamic node holds a redex, so this is the order in which a search for the
 first redex in preorder, repeated after each step, would contract them.
-Each contraction is recorded so the whole run can be replayed and audited.
+Each contraction is recorded, and ``replay`` audits a recorded run by
+running the pass again.  The pass takes at most ``MAX_STEPS`` contractions.
 ``translate_gt`` and ``translate_safe`` run the same pass with conditional
 belief as the redex and its one-node unfolding as the contraction.
 
@@ -27,8 +28,9 @@ enclosing dynamic node (first component shrinks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .syntax import (_BINARY, _DYNAMIC, And, Announce, Atom, Bot, CondBelief,
                      Formula, GtBox, Implies, Know, Not, Or, SafeBelief, Top,
                      children, format_formula, fragment_of, gt_dia, khat,
@@ -37,8 +39,12 @@ from .syntax import (_BINARY, _DYNAMIC, And, Announce, Atom, Bot, CondBelief,
 __all__ = [
     "RewriteStep", "RewriteTrace", "reduce_dynamic", "replay",
     "rewrite_measure", "translate_gt", "translate_safe",
-    "subterm_at", "replace_at",
 ]
+
+# Contractions one pass may make.  Reduction can blow up exponentially (Lutz,
+# AAMAS 2006): [! p]^k q takes 2^(k+1) - k - 2 steps, so k = 14 fits and
+# k = 15 does not.
+MAX_STEPS = 2**15
 
 
 @dataclass(frozen=True)
@@ -68,36 +74,18 @@ class RewriteTrace:
         return len(self.steps)
 
 
-def subterm_at(f: Formula, path: tuple) -> Formula:
-    for i in path:
-        f = children(f)[i]
-    return f
-
-
-def replace_at(f: Formula, path: tuple, new: Formula) -> Formula:
-    """f with the subterm at path replaced by new.  The path is walked with
-    a loop and the spine rebuilt bottom-up, so depth costs no recursion."""
-    spine = []
-    for i in path:
-        spine.append(f)
-        f = children(f)[i]
-    for node, i in zip(reversed(spine), reversed(path)):
-        kids = list(children(node))
-        kids[i] = new
-        new = rebuild(node, tuple(kids))
-    return new
-
-
 def replay(f: Formula, trace: RewriteTrace) -> Formula:
-    """Re-apply a recorded trace to its input, checking each redex matches."""
-    for step in trace:
-        found = subterm_at(f, step.path)
-        if found != step.before:
+    """Check that ``trace`` is the run of ``reduce_dynamic`` on ``f`` and
+    return its output.  The pass is run again and its steps compared with
+    the trace's, in order, so every recorded result must be the rewriter's
+    own contraction: a prefix of the run or a hand-made trace is refused
+    with ``InputError``, as is a trace of another formula."""
+    out, run = reduce_dynamic(f)
+    for k, (want, got) in enumerate(zip_longest(trace, run, fillvalue="no step"), 1):
+        if want != got:
             raise InputError(
-                f"trace does not match: expected {format_formula(step.before)} "
-                f"at {step.path}, found {format_formula(found)}")
-        f = replace_at(f, step.path, step.after)
-    return f
+                f"trace does not match: step {k} expected {want}, found {got}")
+    return out
 
 
 def rewrite_measure(f: Formula):
@@ -167,7 +155,8 @@ def _normalise(f: Formula, kind, contract):
     post-order pass; returns (normal form, steps).  ``contract`` maps a
     node of that kind whose children hold none to (rule, result).  The pass
     keeps an explicit stack, so the depth of f is not bounded by Python's
-    recursion."""
+    recursion.  More than ``MAX_STEPS`` contractions raise
+    ``ResourceLimitError``."""
     steps = []
     normal = {}  # id -> node known to be normal; the values keep ids in use
     stack = [(f, (), [])]  # node, its path, normal forms of its first kids
@@ -185,6 +174,9 @@ def _normalise(f: Formula, kind, contract):
         if any(new is not getattr(g, name) for new, name in zip(kids, parts)):
             g = rebuild(g, tuple(kids))
         if isinstance(g, kind):
+            if len(steps) >= MAX_STEPS:
+                raise ResourceLimitError(
+                    f"rewriting takes more than {MAX_STEPS} steps", MAX_STEPS)
             rule, out = contract(g)
             steps.append(RewriteStep(path, rule, g, out))
             stack.append((out, path, []))

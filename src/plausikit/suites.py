@@ -497,11 +497,20 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
     }
     current.add((frozenset(left.states), frozenset(right.states)))
 
-    def modal(m, kind, agent, mask, cond=None):
+    def relations(m):
+        """Each (agent, state)'s class and order, read once per call."""
+        rels = {}
+        for a in m.agents:
+            epist = m.epist[a]
+            for w in m.states:
+                rels[a, w] = frozenset(v for x, v in epist if x == w), m.plaus[(a, w)]
+        return m.states, rels
+
+    def modal(side, kind, agent, mask, cond=None):
+        states, rels = side
         out = set()
-        for w in m.states:
-            cls = frozenset(v for x, v in m.epist[agent] if x == w)
-            rel = m.plaus[(agent, w)]
+        for w in states:
+            cls, rel = rels[agent, w]
             if kind == "K":
                 targets = cls
             elif kind == "Bplus":
@@ -519,6 +528,7 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
         return frozenset(out)
 
     unary = [k for k in ("K", "Bplus", "Gt") if k in fragment]
+    lv, rv = relations(left), relations(right)
     while True:
         fresh = set(current)
         fl = frozenset(left.states)
@@ -529,14 +539,14 @@ def _pair_saturation(left: Model, right: Model, fragment: Fragment):
                 fresh.add((ls & ls2, rs & rs2))
             for kind in unary:
                 for a in left.agents:
-                    fresh.add((modal(left, kind, a, ls), modal(right, kind, a, rs)))
+                    fresh.add((modal(lv, kind, a, ls), modal(rv, kind, a, rs)))
             if "Bc" in fragment:
                 for a in left.agents:
                     for ls2, rs2 in current:
-                        fresh.add((modal(left, "Bc", a, ls2, cond=ls),
-                                   modal(right, "Bc", a, rs2, cond=rs)))
-                        fresh.add((modal(left, "Bc", a, ls, cond=ls2),
-                                   modal(right, "Bc", a, rs, cond=rs2)))
+                        fresh.add((modal(lv, "Bc", a, ls2, cond=ls),
+                                   modal(rv, "Bc", a, rs2, cond=rs)))
+                        fresh.add((modal(lv, "Bc", a, ls, cond=ls2),
+                                   modal(rv, "Bc", a, rs, cond=rs2)))
         if fresh == current:
             return current
         current = fresh

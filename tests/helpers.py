@@ -26,8 +26,8 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
 from plausikit.model import bits, box
-from plausikit.rewrite import _contract, replace_at, subterm_at
-from plausikit.syntax import children
+from plausikit.rewrite import _contract
+from plausikit.syntax import children, rebuild
 
 
 _REF_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -200,6 +200,26 @@ def _find_redex(f, path: tuple = ()):
         if hit is not None:
             return hit
     return None
+
+
+def subterm_at(f, path: tuple):
+    for i in path:
+        f = children(f)[i]
+    return f
+
+
+def replace_at(f, path: tuple, new):
+    """f with the subterm at path replaced by new.  The path is walked with
+    a loop and the spine rebuilt bottom-up, so depth costs no recursion."""
+    spine = []
+    for i in path:
+        spine.append(f)
+        f = children(f)[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = list(children(node))
+        kids[i] = new
+        new = rebuild(node, tuple(kids))
+    return new
 
 
 def ref_reduce_dynamic(f):

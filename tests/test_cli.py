@@ -119,6 +119,12 @@ class TestRewrite:
         assert lines[1].startswith("step 1: ann-know")
         assert lines[2].startswith("step 2: ann-atom")
 
+    def test_past_the_step_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "rewrite", "[! p] " * 300 + "q")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestTranslate:
     def test_gt(self, capsys):

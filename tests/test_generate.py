@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from plausikit import (Fragment, GenSpec, InputError, ResourceLimitError,
                        formula_depth, fragment_of, generate, genspec_from_dict,
                        genspec_to_dict, is_locally_connected, is_uniform,
                        model_to_json, random_formula, rename_states, strict,
                        validate)
+
+from helpers import broken_models
 
 
 def test_identical_spec_and_seed_give_identical_bytes():
@@ -94,6 +97,12 @@ def test_rename_states_is_an_isomorphism():
     assert validate(r) == []
     assert sorted(len(xs) for xs in r.valuation.values()) == \
         sorted(len(xs) for xs in m.valuation.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(broken_models())
+def test_rename_states_keeps_names_that_are_not_states(m):
+    assert len(validate(rename_states(m))) == len(validate(m))
 
 
 def test_random_formula_respects_fragment_and_depth():

@@ -55,7 +55,7 @@ class TestReduceDynamic:
             _, trace = reduce_dynamic(f)
             for step in trace:
                 before = rewrite_measure(g)
-                from plausikit.rewrite import replace_at
+                from helpers import replace_at
                 g = replace_at(g, step.path, step.after)
                 after = rewrite_measure(g)
                 assert after < before
