@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
-(including an unreadable file and a formula nested too deeply to parse or
-print), 3 resource cap exceeded, 4 an unexpected internal error.
+(including an unreadable file and a formula nested too deeply to parse),
+3 resource cap exceeded, 4 an unexpected internal error.
 """
 
 from __future__ import annotations

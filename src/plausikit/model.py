@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable
 
@@ -181,11 +182,31 @@ def _masks(raw, pos: dict, bit: list, where):
 
 def _relations(states, agents, epist, plaus, doc: bool = False) -> tuple:
     """Every relation of a model as index rows, in one pass over its
-    (key, pairs) items: (states, pos, agents, rows, orders, side)."""
+    (key, pairs) items: (states, pos, agents, rows, orders, side).  Equal
+    orders share one _Order.  A document's plausibility list equal to one
+    read before from the same document takes that list's order and side
+    pairs, so each distinct order is read once."""
     states, agents = tuple(sorted(set(states))), tuple(sorted(set(agents)))
     pos = {s: i for i, s in enumerate(states)}
     bit = [1 << i for i in range(len(states))]
-    rows, orders, e_side, p_side, interned = {}, {}, {}, {}, {}
+    rows, orders, e_side, p_side, interned, read = {}, {}, {}, {}, {}, {}
+
+    def order(raw, where):
+        """The _Order of one pair list and the frozenset of its pairs
+        naming other states (None when there are none)."""
+        # Lists read before, by length; a list equal to one of them is
+        # well formed, since pairs of strings equal only pairs of strings.
+        same = read.setdefault(len(raw), []) if doc and type(raw) is list else None
+        for old, got in same or ():
+            if old == raw:
+                return got
+        above, below, other = _masks(raw, pos, bit, where)
+        got = (interned.setdefault(tuple(above), _Order(below, above)),
+               other and frozenset(other))
+        if same is not None:
+            same.append((raw, got))
+        return got
+
     for a, raw in epist:
         above, _, other = _masks(raw, pos, bit, doc and f"epist[{a}]")
         if a not in agents:
@@ -196,13 +217,13 @@ def _relations(states, agents, epist, plaus, doc: bool = False) -> tuple:
             e_side[a] = frozenset(other)
     for key, raw in plaus:
         a, w = key
-        above, below, other = _masks(raw, pos, bit, doc and f"plaus[{a}][{w}]")
+        o, other = order(raw, doc and f"plaus[{a}][{w}]")
         if a not in agents or w not in pos:
-            p_side[key] = _named(states, above).union(other or ())
+            p_side[key] = _named(states, o.above).union(other or ())
             continue
-        orders[(a, pos[w])] = interned.setdefault(tuple(above), _Order(below, above))
+        orders[(a, pos[w])] = o
         if other:
-            p_side[key] = frozenset(other)
+            p_side[key] = other
     return states, pos, agents, rows, orders, (e_side, p_side)
 
 
@@ -416,44 +437,66 @@ def validate(m: Model) -> list[str]:
         if a not in ix._rows:
             problems.append(f"no epistemic relation for agent {a!r}")
             continue
-        problems += _relation_problems(m.states, pos, e_side.get(a), ix._rows[a],
-                                       f"epist[{a}]", symmetric=True)
+        problems += _relation_problems(
+            f"epist[{a}]", pos, e_side.get(a), _laws(m.states, ix._rows[a], True))
 
     problems += [f"plaus key ({a!r}, {w!r}) uses unknown agent or state"
                  for a, w in sorted(p_side) if a not in m.agents or w not in pos]
+    laws: dict = {}     # _Order -> its broken laws, checked once per order
     for a in m.agents:
         for i, w in enumerate(m.states):
             o = ix._orders.get((a, i))
             if o is None:
                 problems.append(f"no plausibility order for ({a!r}, {w!r})")
                 continue
-            problems += _relation_problems(m.states, pos, p_side.get((a, w)), o.above,
-                                           f"plaus[{a},{w}]", symmetric=False)
+            broken = laws.get(o)
+            if broken is None:
+                broken = laws[o] = _laws(m.states, o.above, False)
+            other = p_side.get((a, w))
+            if broken or other:
+                problems += _relation_problems(f"plaus[{a},{w}]", pos, other, broken)
 
     problems += [f"valuation[{p}] mentions unknown state {s!r}"
                  for p in sorted(m.valuation) for s in sorted(m.valuation[p]) if s not in pos]
     return problems
 
 
-def _relation_problems(names: tuple, pos: dict, other, rows: list, where: str,
-                       symmetric: bool) -> list[str]:
-    """The pairs of other naming unknown states, then the reflexivity,
-    symmetry (if asked) and transitivity of the relation whose successor
-    sets are ``rows``; witnesses come in sorted pair order."""
+def _relation_problems(where: str, pos: dict, other, broken: list) -> list[str]:
+    """The pairs of other naming unknown states, then the broken laws, of
+    the relation at where."""
     out = [f"{where} mentions unknown state {s!r}"
            for pair in sorted(other or ()) for s in pair if s not in pos]
-    out += [f"{where} not reflexive at {names[x]!r}"
-            for x, row in enumerate(rows) if not row >> x & 1]
-    if symmetric:
-        out += [f"{where} not symmetric: ({names[x]!r}, {names[y]!r})"
-                for x, row in enumerate(rows) for y in bits(row)
-                if not rows[y] >> x & 1]
+    return out + [f"{where} {law}" for law in broken]
+
+
+def _laws(names: tuple, rows: list, symmetric: bool) -> list[str]:
+    """The failures of reflexivity, symmetry (if asked) and transitivity of
+    the relation whose successor sets are ``rows``; witnesses come in
+    sorted pair order."""
+    out = [f"not reflexive at {names[x]!r}"
+           for x, row in enumerate(rows) if not row >> x & 1]
+    # By row: the states every member relates to, and those some member
+    # relates to.  States with equal rows, as in a class, share them.
+    meet, reach_of = {}, {}
+    for x, row in enumerate(rows) if symmetric else ():
+        common = meet.get(row)
+        if common is None:
+            common = -1
+            for y in bits(row):
+                common &= rows[y]
+            meet[row] = common
+        if not common >> x & 1:
+            out += [f"not symmetric: ({names[x]!r}, {names[y]!r})"
+                    for y in bits(row) if not rows[y] >> x & 1]
     for x, row in enumerate(rows):
-        reach = 0
-        for y in bits(row):
-            reach |= rows[y]
+        reach = reach_of.get(row)
+        if reach is None:
+            reach = 0
+            for y in bits(row):
+                reach |= rows[y]
+            reach_of[row] = reach
         if reach & ~row:
-            out += [f"{where} not transitive: ({names[x]!r}, {names[y]!r}) "
+            out += [f"not transitive: ({names[x]!r}, {names[y]!r}) "
                     f"and ({names[y]!r}, {names[z]!r})"
                     for y in bits(row) for z in bits(rows[y] & ~row)]
     return out
@@ -598,8 +641,83 @@ def model_from_dict(d: dict) -> Model:
 
 
 def model_to_json(m: Model) -> str:
-    """Serialize with sorted keys and sorted arrays; byte-stable."""
-    return json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n"
+    """Serialize with sorted keys and sorted arrays; byte-stable.
+
+    The text is ``json.dumps(model_to_dict(m), indent=2, sort_keys=True)``
+    and a newline, written from the masks: each name is encoded once, and
+    each distinct order's pair list is rendered once for every key holding
+    it.  A list with pairs naming other states is rendered from its sorted
+    names."""
+    ix, names, (e_side, p_side) = m.index, m.states, m._side
+    enc = {s: json.dumps(s) for s in names}
+    name = lambda s: enc[s] if s in enc else json.dumps(s)
+
+    def pairs(rows, other, ind: str) -> str:
+        """The pair list of rows and other, opened at indentation ind."""
+        inner, close = ind + "    ", f"\n{ind}  ]"
+        if other:
+            return _json_list([f"[\n{inner}{name(x)},\n{inner}{name(y)}{close}"
+                               for x, y in _pair_list(names, rows, other)], ind)
+        # A pair is the head of its first state and the tail of its second.
+        heads = [f"[\n{inner}{enc[s]},\n{inner}" for s in names]
+        tails = [enc[s] + close for s in names]
+        sep = f",\n{ind}  "
+        return _json_list([heads[x] + (sep + heads[x]).join(_members(tails, row))
+                           for x, row in enumerate(rows) if row], ind)
+
+    done: dict = {}     # _Order -> its pair list
+    none = _Order((), ())
+
+    def order(a: str, i: int, w: str) -> str:
+        o, other = ix._orders.get((a, i), none), p_side.get((a, w))
+        if other:
+            return pairs(o.above, other, "      ")
+        got = done.get(o)
+        if got is None:
+            got = done[o] = pairs(o.above, None, "      ")
+        return got
+
+    return _json_object([
+        ('"agents"', _json_list([name(a) for a in m.agents], "  ")),
+        ('"epist"', _json_object([
+            (name(a), pairs(ix._rows.get(a, ()), e_side.get(a), "    "))
+            for a in m.agents], "  ")),
+        ('"plaus"', _json_object([
+            (name(a), _json_object([(enc[w], order(a, i, w)) for i, w in enumerate(names)],
+                                   "    "))
+            for a in m.agents], "  ")),
+        ('"states"', _json_list(list(enc.values()), "  ")),
+        ('"valuation"', _json_object([
+            (name(p), _json_list([name(s) for s in sorted(xs)], "    "))
+            for p, xs in m.valuation.items()], "  ")),
+    ], "") + "\n"
+
+
+def _json_list(items: list, ind: str) -> str:
+    """A JSON array of encoded items, closing at indentation ind, as
+    ``json.dumps`` with ``indent=2`` lays it out."""
+    if not items:
+        return "[]"
+    sep = f",\n{ind}  "
+    return f"[\n{ind}  {sep.join(items)}\n{ind}]"
+
+
+def _json_object(items: list, ind: str) -> str:
+    """A JSON object of (encoded key, encoded value) items, closing at
+    indentation ind, as ``json.dumps`` with ``indent=2`` lays it out."""
+    if not items:
+        return "{}"
+    sep = f",\n{ind}  "
+    return "{\n" + ind + "  " + sep.join(f"{k}: {v}" for k, v in items) + f"\n{ind}}}"
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items: list, mask: int):
+    """The items at the set bits of mask, lowest first."""
+    # The binary digits of mask, lowest first, as bytes 0 and 1.
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def _decode(text: str):

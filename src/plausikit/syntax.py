@@ -485,58 +485,72 @@ def parse(text: str) -> Formula:
 # ("K[a] p").
 
 def format_formula(f: Formula) -> str:
-    """Deterministic canonical rendering; parse(format_formula(f)) == f."""
-    return _fmt(f, 0)
+    """Deterministic canonical rendering; parse(format_formula(f)) == f.
+
+    The printer keeps its own stack of what is still to write, text or
+    (node, level), so the depth of f is not bounded by Python's recursion.
+    It writes a node's text up to its first subformula, stacks what follows
+    that subformula and goes on into it."""
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, level = item
+        while True:
+            if isinstance(g, (Atom, Top, Bot)):
+                out.append(g.name if isinstance(g, Atom)
+                           else "true" if isinstance(g, Top) else "false")
+                break
+            if isinstance(g, _BINARY):
+                op, own, left, right = _INFIX[type(g)]
+                if level > own:
+                    out.append("(")
+                    todo.append(")")
+                todo += ((g.right, right), op)
+                g, level = g.left, left
+                continue
+            if isinstance(g, (CondBelief, Announce, Upgrade)):
+                # The bracket holds the first subformula; the box's operand
+                # follows it.
+                out.append(f"B[{g.agent} | " if isinstance(g, CondBelief)
+                           else "[! " if isinstance(g, Announce) else "[up ")
+                first, sub = children(g)
+                todo += ((")", (sub, 0), "](") if isinstance(sub, _BINARY)
+                         else ((sub, 4), "] "))
+                g, level = first, 0
+                continue
+            if isinstance(g, Not):
+                inner = g.sub
+                if isinstance(inner, (Know, GtBox)) and isinstance(inner.sub, Not):
+                    out.append(f"{'Khat' if isinstance(inner, Know) else 'GtDia'}"
+                               f"[{inner.agent}]")
+                    g, space = inner.sub.sub, " "
+                else:
+                    out.append("~")
+                    g, space = inner, ""
+            elif isinstance(g, (Know, SafeBelief, GtBox)):
+                out.append(f"{_BOX[type(g)]}[{g.agent}]")
+                g, space = g.sub, " "
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            # The operand: a binary one in parentheses, any other after space.
+            if isinstance(g, _BINARY):
+                out.append("(")
+                todo.append(")")
+                level = 0
+            else:
+                out.append(space)
+                level = 4
+    return "".join(out)
 
 
-def _fmt(f: Formula, level: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Not):
-        inner = f.sub
-        if isinstance(inner, Know) and isinstance(inner.sub, Not):
-            return f"Khat[{inner.agent}]" + _operand(inner.sub.sub)
-        if isinstance(inner, GtBox) and isinstance(inner.sub, Not):
-            return f"GtDia[{inner.agent}]" + _operand(inner.sub.sub)
-        return "~" + _tight(f.sub)
-    if isinstance(f, Know):
-        return f"K[{f.agent}]" + _operand(f.sub)
-    if isinstance(f, SafeBelief):
-        return f"Bplus[{f.agent}]" + _operand(f.sub)
-    if isinstance(f, GtBox):
-        return f"Gt[{f.agent}]" + _operand(f.sub)
-    if isinstance(f, CondBelief):
-        return f"B[{f.agent} | {_fmt(f.cond, 0)}]" + _operand(f.sub)
-    if isinstance(f, Announce):
-        return f"[! {_fmt(f.ann, 0)}]" + _operand(f.sub)
-    if isinstance(f, Upgrade):
-        return f"[up {_fmt(f.up, 0)}]" + _operand(f.sub)
-    if isinstance(f, And):
-        out = f"{_fmt(f.left, 3)} & {_fmt(f.right, 4)}"
-        return f"({out})" if level > 3 else out
-    if isinstance(f, Or):
-        out = f"{_fmt(f.left, 2)} | {_fmt(f.right, 3)}"
-        return f"({out})" if level > 2 else out
-    if isinstance(f, Implies):
-        out = f"{_fmt(f.left, 2)} -> {_fmt(f.right, 1)}"
-        return f"({out})" if level > 1 else out
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _operand(sub: Formula) -> str:
-    if isinstance(sub, _BINARY):
-        return f"({_fmt(sub, 0)})"
-    return " " + _fmt(sub, 4)
-
-
-def _tight(sub: Formula) -> str:
-    if isinstance(sub, _BINARY):
-        return f"({_fmt(sub, 0)})"
-    return _fmt(sub, 4)
+# Infix operators: text, own level, and the levels of the left and right
+# operands.
+_INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
+_BOX = {Know: "K", SafeBelief: "Bplus", GtBox: "Gt"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,14 @@ property checks that read index rows, ``ref_reduce_dynamic`` for
 the bisimulation procedures that now read the partition-refinement engine.
 ``ref_definable_pairs`` computes the definable-pair family by closure, apart
 from the refined blocks that ``definable_pairs`` reads it off.
+``ref_model_to_json`` is the whole-document ``json.dumps`` that
+``model_to_json`` once was, and ``ref_format_formula`` the recursive printer
+that ``format_formula`` once was.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from types import SimpleNamespace
 
@@ -25,6 +29,7 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
+from plausikit.syntax import _BINARY
 from plausikit.model import bits, box
 from plausikit.rewrite import _contract
 from plausikit.syntax import children, rebuild
@@ -153,6 +158,62 @@ def ref_validate(m: Model) -> list[str]:
                 problems.append(f"valuation[{p}] mentions unknown state {s!r}")
 
     return problems
+
+
+def ref_model_to_json(m: Model) -> str:
+    """The whole-document form of ``model_to_json``, kept as its oracle."""
+    return json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n"
+
+
+def ref_format_formula(f) -> str:
+    """The recursive form of ``format_formula``, kept as its oracle."""
+    return _ref_fmt(f, 0)
+
+
+def _ref_fmt(f, level: int) -> str:
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Not):
+        inner = f.sub
+        if isinstance(inner, Know) and isinstance(inner.sub, Not):
+            return f"Khat[{inner.agent}]" + _ref_operand(inner.sub.sub)
+        if isinstance(inner, GtBox) and isinstance(inner.sub, Not):
+            return f"GtDia[{inner.agent}]" + _ref_operand(inner.sub.sub)
+        if isinstance(f.sub, _BINARY):
+            return f"~({_ref_fmt(f.sub, 0)})"
+        return "~" + _ref_fmt(f.sub, 4)
+    if isinstance(f, Know):
+        return f"K[{f.agent}]" + _ref_operand(f.sub)
+    if isinstance(f, SafeBelief):
+        return f"Bplus[{f.agent}]" + _ref_operand(f.sub)
+    if isinstance(f, GtBox):
+        return f"Gt[{f.agent}]" + _ref_operand(f.sub)
+    if isinstance(f, CondBelief):
+        return f"B[{f.agent} | {_ref_fmt(f.cond, 0)}]" + _ref_operand(f.sub)
+    if isinstance(f, Announce):
+        return f"[! {_ref_fmt(f.ann, 0)}]" + _ref_operand(f.sub)
+    if isinstance(f, Upgrade):
+        return f"[up {_ref_fmt(f.up, 0)}]" + _ref_operand(f.sub)
+    if isinstance(f, And):
+        out = f"{_ref_fmt(f.left, 3)} & {_ref_fmt(f.right, 4)}"
+        return f"({out})" if level > 3 else out
+    if isinstance(f, Or):
+        out = f"{_ref_fmt(f.left, 2)} | {_ref_fmt(f.right, 3)}"
+        return f"({out})" if level > 2 else out
+    if isinstance(f, Implies):
+        out = f"{_ref_fmt(f.left, 2)} -> {_ref_fmt(f.right, 1)}"
+        return f"({out})" if level > 1 else out
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _ref_operand(sub) -> str:
+    if isinstance(sub, _BINARY):
+        return f"({_ref_fmt(sub, 0)})"
+    return " " + _ref_fmt(sub, 4)
 
 
 def ref_uniformity_counterexample(m: Model):
@@ -473,6 +534,28 @@ def broken_docs(draw):
         doc["plaus"]["c"] = {doc["states"][0]: [[doc["states"][0], "zz"]]}
     for xs in doc["valuation"].values():
         xs += draw(st.lists(st.just("zz"), max_size=1))
+    return doc
+
+
+@st.composite
+def repeated_docs(draw):
+    """A model document whose pair lists repeat: every list is an equal
+    copy of one of a few, some naming a state the model lacks, and copies
+    sit under an undeclared agent and an unknown state's key."""
+    doc = model_to_dict(draw(models()))
+    states = doc["states"]
+    pair = st.lists(st.sampled_from(states + ["zz"]), min_size=2, max_size=2)
+    known = [ps for per in doc["plaus"].values() for ps in per.values()]
+    pool = [draw(st.sampled_from(known)) + draw(st.lists(pair, max_size=2))
+            for _ in range(draw(st.integers(1, 3)))]
+    copy = lambda: [list(p) for p in draw(st.sampled_from(pool))]
+    for per in doc["plaus"].values():
+        for w in per:
+            per[w] = copy()
+    if draw(st.booleans()):
+        doc["epist"]["c"] = copy()
+        doc["plaus"]["c"] = {w: copy() for w in states}
+        doc["plaus"]["a"]["zz"] = copy()
     return doc
 
 

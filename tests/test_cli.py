@@ -1,11 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from plausikit import (Model, load_corpus, load_model, model_to_json,
-                       relation_to_dict, total_pairs)
+from plausikit import (Model, load_corpus, load_model, model_to_dict,
+                       model_to_json, relation_to_dict, total_pairs)
 from plausikit.cli import main
 
 
@@ -118,6 +118,10 @@ class TestRewrite:
         assert lines[0] == "p -> K[a](p -> q)"
         assert lines[1].startswith("step 1: ann-know")
         assert lines[2].startswith("step 2: ann-atom")
+
+    def test_output_deeper_than_the_recursion_limit_prints(self, capsys):
+        code, out, err = run(capsys, "rewrite", "[! p] " + "~" * 350 + "q")
+        assert (code, out, err) == (0, "p -> ~(" * 350 + "p -> q" + ")" * 350 + "\n", "")
 
     def test_past_the_step_budget_exits_3(self, capsys):
         code, out, err = run(capsys, "rewrite", "[! p] " * 300 + "q")
@@ -520,6 +524,129 @@ def test_bisim_relation_never_raises(two_state_files, doc, fragment):
         assert err.getvalue().count("\n") == 1
     else:
         assert out.getvalue().splitlines()[0] == ("true" if code == 0 else "false")
+
+
+def _main_outcome(argv):
+    """main's exit code, stdout and stderr for argv, run in process."""
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented(code, err):
+    """A verdict, or an input error or a cap with one error line; never a
+    traceback or an internal error."""
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+_JUNK = [None, 7, -1, 2.5, True, "x", "", [], {}, [["w0"]], [[1, 2]], {"a": 3}]
+
+
+@st.composite
+def _model_texts(draw):
+    """Model files, mostly broken: generated documents with pairs dropped,
+    added, repeated or naming unknown states, a part replaced by a value
+    of the wrong type, or the JSON text garbled."""
+    from helpers import broken_docs, models, repeated_docs
+    valid = models().map(model_to_dict)
+    doc = draw(st.one_of(valid, valid, broken_docs(), repeated_docs()))
+    # Hypothesis favours the simplest choice, 0, so the rarer branches
+    # are taken on 3.
+    if draw(st.integers(0, 3)) == 3:
+        key = draw(st.sampled_from(sorted(doc)))
+        junk = st.sampled_from(_JUNK)
+        if isinstance(doc[key], dict) and doc[key] and draw(st.booleans()):
+            doc[key][draw(st.sampled_from(sorted(doc[key])))] = draw(junk)
+        else:
+            doc[key] = draw(junk)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 3)) == 3:
+        k = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:k] + draw(st.sampled_from(["", "{", "]", '"', ",", "null", "\\"])) \
+            + text[k + cut:]
+    return text
+
+
+def _verb_argvs(left, right):
+    """argv for every verb that reads model files, on left and right."""
+    from helpers import formulas
+    from plausikit import format_formula
+    printed = formulas(atoms=("p", "q"), max_depth=2).map(format_formula)
+    text = st.one_of(printed, printed, printed, st.sampled_from(
+        ["", "p &", "K[c] p", "[! false] p", "B[a | p q"]))
+    state = st.sampled_from(["w0", "w0", "w1", "w3", "zz"])
+    fragment = st.sampled_from(["K", "K,Bc", "Bc", "K,Bplus,Gt", "K,Gt,Bc", "Ann,K", "X"])
+    return st.one_of(
+        st.builds(lambda s, f: ["check", left, s, f], state, text),
+        st.builds(lambda f: ["validity", left, f], text),
+        st.builds(lambda k, f: ["transform", left, k, f],
+                  st.sampled_from(["announce", "upgrade"]), text),
+        st.just(["props", left]),
+        st.builds(lambda s, t, g: ["equiv", left, s, right, t, "--fragment", g],
+                  state, state, fragment),
+        st.builds(lambda g: ["bisim", left, right, "--fragment", g, "--greatest"], fragment))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("verbs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), left=_model_texts(), right=st.one_of(st.none(), _model_texts()))
+def test_every_model_verb_on_broken_files_gives_a_documented_outcome(fuzz_dir, data,
+                                                                     left, right):
+    lp, rp = fuzz_dir / "l.json", fuzz_dir / "r.json"
+    lp.write_text(left)
+    rp.write_text(left if right is None else right)
+    argv = data.draw(_verb_argvs(str(lp), str(rp)))
+    code, _, err = _main_outcome(argv)
+    _assert_documented(code, err)
+
+
+def _gen_specs():
+    """Generator spec files, mostly malformed: values of the wrong type,
+    bounds out of range, unknown keys, and garbled or non-object JSON."""
+    from plausikit.generate import _GENSPEC_KEYS
+    states = st.sampled_from([0, 1, 3, 101, 10 ** 9, -2, True, 2.5, "3", None,
+                              [1, 3], [3, 1], [0, 2], [2, 101], [1], [1, 2, 3]])
+    value = st.one_of(st.sampled_from(_JUNK), st.integers(-3, 30))
+    spec = st.dictionaries(st.sampled_from(sorted(_GENSPEC_KEYS) + ["extra"]), value,
+                           max_size=4).flatmap(
+        lambda d: st.builds(lambda s: {**d, "states": s}, states)
+        if "states" in d else st.just(d))
+    return st.one_of(spec.map(json.dumps),
+                     st.sampled_from(["", "{", "[1, 2]", "null", '"spec"', "{}"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_gen_specs())
+def test_gen_on_malformed_specs_gives_a_documented_outcome(fuzz_dir, text):
+    path = fuzz_dir / "spec.json"
+    path.write_text(text)
+    code, out, err = _main_outcome(["gen", str(path)])
+    _assert_documented(code, err)
+    if code == 0:
+        assert json.loads(out)["states"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.text(max_size=12))
+def test_unknown_suite_names_exit_2(name):
+    from plausikit import suite_names
+    if name in suite_names():
+        return
+    code, out, err = _main_outcome(["suite", "--", name])
+    assert (code, out) == (2, "")
+    _assert_documented(code, err)
 
 
 def test_main_called_repeatedly_matches_fresh_processes(corpus_files, capsys,

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from plausikit import (InputError, Model, eq_class, identity_pairs,
                        truth_set, uniformity_counterexample, validate)
 
 from helpers import (DISCRETE2, TOTAL2, broken_docs, broken_models, models,
-                     pairs_read, ref_connectedness_counterexample,
-                     ref_uniformity_counterexample, ref_validate, two_state)
+                     pairs_read, ref_connectedness_counterexample, repeated_docs,
+                     ref_model_to_json, ref_uniformity_counterexample,
+                     ref_validate, two_state)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def one_state(epist=None, plaus=None):
@@ -524,3 +528,101 @@ class TestJsonPath:
             with pytest.raises(TypeError):
                 m.plaus[("a", "w")] = frozenset()
         assert m.epist["a"] == frozenset(TOTAL2)
+
+
+# ---------------------------------------------------------------------------
+# The file layer works once per distinct order
+
+def uniform_models():
+    """Generated models whose class-mates share their orders."""
+    from plausikit import GenSpec, generate
+    return st.builds(lambda n, seed: generate(GenSpec(1, n, 2, 2, uniform=True, seed=seed)),
+                     st.integers(1, 8), st.integers(0, 2 ** 32))
+
+
+@st.composite
+def escaped_models(draw):
+    """A model, perhaps broken, whose names need JSON escapes: quotes,
+    backslashes, control and non-ASCII characters."""
+    m = draw(st.one_of(models(), broken_models()))
+    marks = draw(st.lists(st.sampled_from(['"', "\\", "\x01", "\x7f", "é", "\U0001f600"]),
+                          min_size=1, max_size=3))
+    ren = lambda s: s[0] + marks[ord(s[-1]) % len(marks)] + s[1:]
+    pairs = lambda rel: {(ren(x), ren(y)) for x, y in rel}
+    return Model(map(ren, m.states), map(ren, m.agents),
+                 {ren(a): pairs(rel) for a, rel in m.epist.items()},
+                 {(ren(a), ren(w)): pairs(rel) for (a, w), rel in m.plaus.items()},
+                 {ren(p): set(map(ren, xs)) for p, xs in m.valuation.items()})
+
+
+class TestFileLayer:
+    """Reading, validating and writing take one pass per distinct order;
+    the oracles take one per key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(models(), broken_models(), broken_docs().map(model_from_dict),
+                     uniform_models(), escaped_models()))
+    def test_writer_gives_the_bytes_of_the_whole_document_dump(self, m):
+        assert model_to_json(m) == ref_model_to_json(m)
+
+    def test_gen_writes_its_golden_file(self, tmp_path, capsys):
+        """The golden file was written by ``plausikit gen`` when the writer
+        dumped the whole document with ``json.dumps``."""
+        from plausikit.cli import main
+        spec, want = DATA / "gen_uniform.spec.json", (DATA / "gen_uniform.json").read_text()
+        out = tmp_path / "m.json"
+        assert main(["gen", str(spec), "-o", str(out)]) == 0
+        assert out.read_text() == want
+        capsys.readouterr()
+        assert main(["gen", str(spec)]) == 0
+        assert capsys.readouterr().out == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_docs())
+    def test_repeated_lists_read_as_the_pairs_they_hold(self, doc):
+        m, ref = model_from_dict(doc), pairs_read(doc)
+        assert m == Model(ref.states, ref.agents, ref.epist, ref.plaus, ref.valuation)
+        assert dict(m.plaus) == ref.plaus
+        assert validate(m) == ref_validate(ref)
+        assert model_to_json(m) == ref_model_to_json(m)
+
+    def test_each_distinct_list_is_read_once(self, monkeypatch):
+        import plausikit.model as model
+        read, masks = [], model._masks
+        monkeypatch.setattr(model, "_masks", lambda raw, *rest: read.append(raw) or masks(raw, *rest))
+        doc = json.loads((DATA / "gen_uniform.json").read_text())
+        m = model_from_dict(doc)
+        lists = [*doc["epist"].values(),
+                 *(ps for per in doc["plaus"].values() for ps in per.values())]
+        assert len(read) == len({json.dumps(ps) for ps in lists}) < len(lists)
+        assert m == model_from_dict(json.loads(json.dumps(doc)))
+
+    @staticmethod
+    def one_class(orders: dict):
+        states = ["u", "v", "w"]
+        return Model(states, ["a"], {"a": total_pairs(states)},
+                     {("a", w): orders.get(w, orders.get(None)) for w in states}, {})
+
+    def test_a_shared_broken_order_is_reported_at_every_key(self):
+        states = ["u", "v", "w"]
+        broken = identity_pairs(states) - {("w", "w")} | {("u", "v"), ("v", "w")}
+        m = self.one_class({None: broken})
+        assert len({id(o) for o in m.index._orders.values()}) == 1
+        problems = validate(m)
+        assert problems == ref_validate(m)
+        assert [p.split(" ", 1)[0] for p in problems] == [
+            f"plaus[a,{w}]" for w in states for _ in range(2)]
+        assert validate(model_from_json(model_to_json(m))) == problems
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_one_class_mate_with_side_pairs(self, broken):
+        shared = total_pairs(["u", "v", "w"]) - ({("w", "w")} if broken else set())
+        m = self.one_class({None: shared, "v": shared | {("v", "zz"), ("zz", "u")}})
+        problems = validate(m)
+        assert problems == ref_validate(m)
+        side = ["plaus[a,v] mentions unknown state 'zz'"] * 2
+        assert [p for p in problems if "zz" in p] == side
+        # a broken order fails three laws at each of u, v and w, in turn
+        assert len(problems) == 2 + 9 * broken
+        assert problems.index(side[0]) == 3 * broken
+        assert validate(model_from_json(model_to_json(m))) == problems

@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from plausikit import (Announce, Atom, InputError, ResourceLimitError, Top,
-                       parse, reduce_dynamic, replay, translate_gt)
+from plausikit import (Announce, Atom, InputError, Not, ResourceLimitError, Top,
+                       Upgrade, parse, reduce_dynamic, replay, translate_gt)
 from plausikit import rewrite
 
 from helpers import formulas, ref_reduce_dynamic
@@ -51,6 +51,21 @@ def test_replay_refuses_a_changed_path():
     tampered = steps.copy()
     tampered[k] = replace(steps[k], path=steps[k].path[:-1])
     _refused(tampered, k + 1)
+
+
+def test_replay_refuses_a_deep_trace_with_its_message():
+    """The message prints the steps of ``[up p] ~^3000 q``, past Python's
+    default recursion limit."""
+    f = Atom("q")
+    for _ in range(3000):
+        f = Not(f)
+    f = Upgrade(Atom("p"), f)
+    steps = list(reduce_dynamic(f)[1])
+    assert len(steps) == 3001
+    steps[5] = replace(steps[5], after=Top())
+    with pytest.raises(InputError, match="trace does not match: step 6 ") as err:
+        replay(f, steps)
+    assert "~" * 2990 in str(err.value)
 
 
 def _announcements(k):

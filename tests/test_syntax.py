@@ -6,7 +6,7 @@ from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
                        SafeBelief, Top, Upgrade, enumerate_formulas,
                        format_formula, formula_depth, fragment_of, parse)
 
-from helpers import formulas
+from helpers import formulas, ref_format_formula
 
 
 class TestParse:
@@ -85,6 +85,36 @@ class TestFormat:
         assert format_formula(And(And(Atom("p"), Atom("q")), Atom("r"))) == "p & q & r"
         assert format_formula(
             Implies(Implies(Atom("p"), Atom("q")), Atom("r"))) == "(p -> q) -> r"
+
+
+    def test_deep_formulas_print(self):
+        """The printer keeps its own stack: each shape is 3000 levels deep,
+        past Python's default recursion limit of 1000."""
+        p, q, n = Atom("p"), Atom("q"), 3000
+
+        def nots(f, wrap=Not):
+            for _ in range(n):
+                f = wrap(f)
+            return f
+        assert format_formula(nots(Announce(p, q))) == "~" * n + "[! p] q"
+        assert format_formula(Upgrade(p, nots(q))) == "[up p] " + "~" * n + "q"
+        assert format_formula(nots(q, lambda f: Not(GtBox("a", Not(f))))) == \
+            "GtDia[a] " * n + "q"
+        assert format_formula(nots(q, lambda f: And(f, p))) == "q" + " & p" * n
+        assert format_formula(nots(q, lambda f: Implies(p, f))) == "p -> " * n + "q"
+        assert format_formula(nots(q, lambda f: Or(p, f))) == \
+            "p | (" * (n - 1) + "p | q" + ")" * (n - 1)
+
+    def test_non_formulas_are_refused(self):
+        for bad in ("p", None, Not("p"), And(Atom("p"), 3)):
+            with pytest.raises(TypeError, match="not a formula"):
+                format_formula(bad)
+
+
+@settings(max_examples=500, deadline=None)
+@given(formulas(max_depth=5))
+def test_format_matches_the_recursive_printer(f):
+    assert format_formula(f) == ref_format_formula(f)
 
 
 @settings(max_examples=300, deadline=None)
