@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error
-(including an unreadable file and a formula nested too deeply to parse),
-3 resource cap exceeded, 4 an unexpected internal error.
+(including an unreadable file), 3 resource cap exceeded, 4 an unexpected
+internal error.
 """
 
 from __future__ import annotations
@@ -271,9 +271,6 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as e:
         # Unreadable files: missing, a directory, not UTF-8 text.
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: formula is nested too deeply", file=sys.stderr)
         return 2
     except CorpusError as e:
         print(f"error: {e}", file=sys.stderr)

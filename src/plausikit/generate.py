@@ -90,21 +90,20 @@ def genspec_from_dict(d: dict) -> GenSpec:
         lo, hi = bounds
     else:
         raise InputError("states must be an integer or a [min, max] pair")
-    counts = {}
-    for key, default in (("agents", 1), ("atoms", 1), ("seed", 0)):
+    settings = {}
+    for key, name, default in (
+            ("agents", "agents", 1), ("atoms", "atoms", 1), ("seed", "seed", 0),
+            ("uniform", "uniform", False),
+            ("locallyConnected", "locally_connected", False),
+            ("totalPreorders", "total_preorders", False),
+            ("discretePreorders", "discrete_preorders", False)):
         value = d.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"{key} must be an integer, got {value!r}")
-        counts[key] = value
-    return GenSpec(
-        min_states=lo,
-        max_states=hi,
-        uniform=bool(d.get("uniform", False)),
-        locally_connected=bool(d.get("locallyConnected", False)),
-        total_preorders=bool(d.get("totalPreorders", False)),
-        discrete_preorders=bool(d.get("discretePreorders", False)),
-        **counts,
-    )
+        # Exact types: isinstance(True, int) holds.
+        if type(value) is not type(default):
+            kind = "true or false" if default is False else "an integer"
+            raise InputError(f"{key} must be {kind}, got {value!r}")
+        settings[name] = value
+    return GenSpec(min_states=lo, max_states=hi, **settings)
 
 
 def load_genspec(path) -> GenSpec:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 __all__ = [
     "Formula", "Atom", "Top", "Bot", "Not", "And", "Or", "Implies",
@@ -346,134 +347,98 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _unexpected(tok: _Token, expected: Iterable[str]) -> ParseError:
+    return ParseError("unexpected end of input" if tok.kind == "end"
+                      else f"unexpected {tok.text!r}", tok.pos, expected)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "end":
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.pos, [repr(text)])
-        return self.take()
-
-    def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError(
-                f"expected {what}", tok.pos, ["identifier"])
-        self.take()
-        return tok.text
-
-    def formula(self) -> Formula:
-        left = self.or_level()
-        if self.peek().text == "->":
-            self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while self.peek().text == "|":
-            self.take()
-            left = Or(left, self.and_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary()
-        while self.peek().text == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "~":
-            self.take()
-            return Not(self.unary())
-        if tok.kind == "ident" and tok.text in _MODAL_HEADS and self.peek(1).text == "[":
-            return self.modal(tok.text)
-        if tok.text == "[":
-            return self.dynamic()
-        return self.atom_or_paren()
-
-    def modal(self, head: str) -> Formula:
-        self.take()  # head
-        self.take()  # "["
-        agent = self.ident("agent name")
-        if head == "B":
-            self.expect("|")
-            cond = self.formula()
-            self.expect("]")
-            return CondBelief(agent, cond, self.unary())
-        self.expect("]")
-        sub = self.unary()
-        if head == "K":
-            return Know(agent, sub)
-        if head == "Khat":
-            return khat(agent, sub)
-        if head == "Bplus":
-            return SafeBelief(agent, sub)
-        if head == "Gt":
-            return GtBox(agent, sub)
-        return gt_dia(agent, sub)  # GtDia
-
-    def dynamic(self) -> Formula:
-        self.take()  # "["
-        tok = self.peek()
-        if tok.text == "!":
-            self.take()
-            ann = self.formula()
-            self.expect("]")
-            return Announce(ann, self.unary())
-        if tok.kind == "ident" and tok.text == "up":
-            self.take()
-            up = self.formula()
-            self.expect("]")
-            return Upgrade(up, self.unary())
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos, ["'!'", "'up'"])
-
-    def atom_or_paren(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "(":
-            self.take()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.take()
-            if tok.text == "true":
-                return Top()
-            if tok.text == "false":
-                return Bot()
-            return Atom(tok.text)
-        raise ParseError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos, ["identifier", "'true'", "'false'", "'('", "'~'", "'['"])
+_OPERAND = ("identifier", "'true'", "'false'", "'('", "'~'", "'['")
+_PREFIX = {"K": Know, "Khat": khat, "Bplus": SafeBelief, "Gt": GtBox,
+           "GtDia": gt_dia}
+_DYNAMIC_HEADS = {"!": Announce, "up": Upgrade}
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError on bad input."""
-    p = _Parser(_lex(text))
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos, ["end of input"])
-    return f
+    """Parse concrete syntax into a Formula; raises ParseError on bad input.
+
+    The parser keeps its own stack of frames, one per bracketed formula
+    being read: the whole input, ``(...)``, the condition of ``B[i | ...]``
+    and the formula of ``[! ...]`` or ``[up ...]``.  A frame holds its
+    closing token, the constructor that takes its formula as first argument
+    (none for parentheses), the unary operators waiting for the next
+    operand, and its operands and infix operators so far.  So the depth of
+    the input is not bounded by Python's recursion."""
+    tokens = _lex(text)
+    frames = [("", None, [], [], [])]
+    i = 0
+    while True:
+        # One operand: prefix operators, then an atom or an opening bracket.
+        unary = frames[-1][2]
+        tok = tokens[i]
+        i += 1
+        if tok.text == "~":
+            unary.append(Not)
+            continue
+        if tok.text in _MODAL_HEADS and tokens[i].text == "[":
+            agent = tokens[i + 1]
+            if agent.kind != "ident":
+                raise ParseError("expected agent name", agent.pos, ["identifier"])
+            bar = tokens[i + 2]
+            i += 3
+            if tok.text == "B":
+                if bar.text != "|":
+                    raise _unexpected(bar, ["'|'"])
+                frames.append(("]", partial(CondBelief, agent.text), [], [], []))
+            elif bar.text != "]":
+                raise _unexpected(bar, ["']'"])
+            else:
+                unary.append(partial(_PREFIX[tok.text], agent.text))
+            continue
+        if tok.text == "(":
+            frames.append((")", None, [], [], []))
+            continue
+        if tok.text == "[":
+            head = _DYNAMIC_HEADS.get(tokens[i].text)
+            if head is None:
+                raise _unexpected(tokens[i], ["'!'", "'up'"])
+            frames.append(("]", head, [], [], []))
+            i += 1
+            continue
+        if tok.kind != "ident":
+            raise _unexpected(tok, _OPERAND)
+        f = (Top() if tok.text == "true" else Bot() if tok.text == "false"
+             else Atom(tok.text))
+        # The operand is read: wrap it in its unary operators, then either
+        # an infix operator follows or the frame closes.
+        while True:
+            closer, head, unary, operands, ops = frames[-1]
+            for op in reversed(unary):
+                f = op(f)
+            unary.clear()
+            operands.append(f)
+            tok = tokens[i]
+            infix = _INFIX_OF.get(tok.text)
+            # Stacked operators at or above the level of the new one's left
+            # operand end before it (& and | associate left, -> right); the
+            # frame's end completes them all.
+            left = _INFIX[infix][2] if infix else 0
+            while ops and _INFIX[ops[-1]][1] >= left:
+                right = operands.pop()
+                operands[-1] = ops.pop()(operands[-1], right)
+            if infix:
+                ops.append(infix)
+                i += 1
+                break
+            if tok.text != closer:
+                raise _unexpected(tok, [repr(closer) if closer else "end of input"])
+            frames.pop()
+            f = operands.pop()
+            if not frames:
+                return f
+            i += 1
+            if head:
+                frames[-1][2].append(partial(head, f))
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +449,25 @@ def parse(text: str) -> Formula:
 # without a space ("K[a](p -> q)"); any other operand gets one space
 # ("K[a] p").
 
+# Pieces of text one rendering may write.  A formula is a shared graph but is
+# printed as a tree, which can be exponentially larger: translate_gt of k
+# nested conditions B[a | ...] prints about 25 * 2^k characters.  2^20 pieces
+# take about half a second; [! p]^14 q, reduced, prints in about 49,000.
+MAX_PRINTED = 2**20
+
+
 def format_formula(f: Formula) -> str:
     """Deterministic canonical rendering; parse(format_formula(f)) == f.
 
     The printer keeps its own stack of what is still to write, text or
     (node, level), so the depth of f is not bounded by Python's recursion.
     It writes a node's text up to its first subformula, stacks what follows
-    that subformula and goes on into it."""
+    that subformula and goes on into it.  A rendering of more than
+    ``MAX_PRINTED`` pieces raises ResourceLimitError, without being
+    written out in full."""
     out: list[str] = []
     todo: list = [(f, 0)]
-    while todo:
+    while todo and len(out) <= MAX_PRINTED:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
@@ -544,6 +518,9 @@ def format_formula(f: Formula) -> str:
             else:
                 out.append(space)
                 level = 4
+    if len(out) > MAX_PRINTED:
+        raise ResourceLimitError(
+            f"the formula prints as more than {MAX_PRINTED} pieces", MAX_PRINTED)
     return "".join(out)
 
 
@@ -551,6 +528,7 @@ def format_formula(f: Formula) -> str:
 # operands.
 _INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
 _BOX = {Know: "K", SafeBelief: "Bplus", GtBox: "Gt"}
+_INFIX_OF = {text.strip(): cls for cls, (text, *_) in _INFIX.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
-from plausikit.syntax import _BINARY
+from plausikit.syntax import (_BINARY, _MODAL_HEADS, ParseError, _lex,
+                              gt_dia, khat)
 from plausikit.model import bits, box
 from plausikit.rewrite import _contract
 from plausikit.syntax import children, rebuild
@@ -214,6 +215,138 @@ def _ref_operand(sub) -> str:
     if isinstance(sub, _BINARY):
         return f"({_ref_fmt(sub, 0)})"
     return " " + _ref_fmt(sub, 4)
+
+
+def ref_parse(text: str):
+    """The recursive-descent form of ``parse``, kept as its oracle.  It
+    recurses a few frames per nesting level, so deep input raises
+    RecursionError."""
+    p = _RefParser(_lex(text))
+    f = p.formula()
+    tok = p.peek()
+    if tok.kind != "end":
+        raise ParseError(f"unexpected {tok.text!r}", tok.pos, ["end of input"])
+    return f
+
+
+class _RefParser:
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self, ahead: int = 0):
+        j = min(self.i + ahead, len(self.tokens) - 1)
+        return self.tokens[j]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        if tok.kind != "end":
+            self.i += 1
+        return tok
+
+    def expect(self, text: str):
+        tok = self.peek()
+        if tok.text != text or tok.kind == "end":
+            raise ParseError(
+                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+                tok.pos, [repr(text)])
+        return self.take()
+
+    def ident(self, what: str):
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError(
+                f"expected {what}", tok.pos, ["identifier"])
+        self.take()
+        return tok.text
+
+    def formula(self):
+        left = self.or_level()
+        if self.peek().text == "->":
+            self.take()
+            return Implies(left, self.formula())
+        return left
+
+    def or_level(self):
+        left = self.and_level()
+        while self.peek().text == "|":
+            self.take()
+            left = Or(left, self.and_level())
+        return left
+
+    def and_level(self):
+        left = self.unary()
+        while self.peek().text == "&":
+            self.take()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self):
+        tok = self.peek()
+        if tok.text == "~":
+            self.take()
+            return Not(self.unary())
+        if tok.kind == "ident" and tok.text in _MODAL_HEADS and self.peek(1).text == "[":
+            return self.modal(tok.text)
+        if tok.text == "[":
+            return self.dynamic()
+        return self.atom_or_paren()
+
+    def modal(self, head: str):
+        self.take()  # head
+        self.take()  # "["
+        agent = self.ident("agent name")
+        if head == "B":
+            self.expect("|")
+            cond = self.formula()
+            self.expect("]")
+            return CondBelief(agent, cond, self.unary())
+        self.expect("]")
+        sub = self.unary()
+        if head == "K":
+            return Know(agent, sub)
+        if head == "Khat":
+            return khat(agent, sub)
+        if head == "Bplus":
+            return SafeBelief(agent, sub)
+        if head == "Gt":
+            return GtBox(agent, sub)
+        return gt_dia(agent, sub)  # GtDia
+
+    def dynamic(self):
+        self.take()  # "["
+        tok = self.peek()
+        if tok.text == "!":
+            self.take()
+            ann = self.formula()
+            self.expect("]")
+            return Announce(ann, self.unary())
+        if tok.kind == "ident" and tok.text == "up":
+            self.take()
+            up = self.formula()
+            self.expect("]")
+            return Upgrade(up, self.unary())
+        raise ParseError(
+            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+            tok.pos, ["'!'", "'up'"])
+
+    def atom_or_paren(self):
+        tok = self.peek()
+        if tok.text == "(":
+            self.take()
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        if tok.kind == "ident":
+            self.take()
+            if tok.text == "true":
+                return Top()
+            if tok.text == "false":
+                return Bot()
+            return Atom(tok.text)
+        raise ParseError(
+            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+            tok.pos, ["identifier", "'true'", "'false'", "'('", "'~'", "'['"])
 
 
 def ref_uniformity_counterexample(m: Model):

@@ -31,6 +31,59 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_DEPTH = 3000
+# A formula nested _DEPTH levels deep, one level of it over the atom x that
+# stands for the level below, and the formula at the bottom.  In the body of
+# [! p] and [up p] too, x may stand for the level below: [! p]^k q and
+# [up p]^k q hold at a state by its own atoms, which both operators keep.
+_DEEP_SHAPES = {
+    "~": ("~" * _DEPTH + "p", "~x", "p"),
+    "K[a]": ("K[a] " * _DEPTH + "p", "K[a] x", "p"),
+    "Khat[b]": ("Khat[b] " * _DEPTH + "p", "Khat[b] x", "p"),
+    "GtDia[a]": ("GtDia[a] " * _DEPTH + "p", "GtDia[a] x", "p"),
+    "( ... )": ("(" * _DEPTH + "p" + ")" * _DEPTH, "(x)", "p"),
+    "p -> ...": ("p -> " * _DEPTH + "q", "p -> x", "q"),
+    "... & p": ("q" + " & p" * _DEPTH, "x & p", "q"),
+    "B[a | ...] q": ("B[a | " * _DEPTH + "p" + "] q" * _DEPTH, "B[a | x] q", "p"),
+    "B[b | q] ...": ("B[b | q] " * _DEPTH + "p", "B[b | q] x", "p"),
+    "[! ...] q": ("[! " * _DEPTH + "p" + "] q" * _DEPTH, "[! x] q", "p"),
+    "[! p] ...": ("[! p] " * _DEPTH + "q", "[! p] x", "q"),
+    "[up ...] q": ("[up " * _DEPTH + "p" + "] q" * _DEPTH, "[up x] q", "p"),
+    "[up p] ...": ("[up p] " * _DEPTH + "q", "[up p] x", "q"),
+}
+
+
+def _reference_truth(m, level, base):
+    """The truth set of a _DEEP_SHAPES formula by the recursive reference
+    evaluator, one level at a time: x holds the truth set of the level
+    below.  Levels are a function of the set below, so a repeated set is
+    looked up."""
+    from helpers import ref_holds
+    from plausikit import parse
+    level = parse(level)
+    truth = frozenset(w for w in m.states if ref_holds(m, w, parse(base)))
+    above = {}
+    for _ in range(_DEPTH):
+        if truth not in above:
+            mx = Model(m.states, m.agents, m.epist, m.plaus,
+                       {**m.valuation, "x": truth})
+            above[truth] = frozenset(w for w in m.states
+                                     if ref_holds(mx, w, level))
+        truth = above[truth]
+    return truth
+
+
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory):
+    """Five states, two agents, atoms p and q, orders that differ from
+    state to state."""
+    from plausikit import GenSpec, generate
+    m = generate(GenSpec(min_states=5, max_states=5, agents=2, atoms=2, seed=3))
+    path = tmp_path_factory.mktemp("deep") / "m.json"
+    path.write_text(model_to_json(m))
+    return str(path), m
+
+
 class TestCheck:
     def test_true_verdict(self, corpus_files, capsys):
         left, _, _ = corpus_files["thm15"]
@@ -63,10 +116,33 @@ class TestCheck:
             assert (code, out, err) == ((0, "true\n", "") if want
                                         else (1, "false\n", ""))
 
-    def test_formula_too_deep_to_parse_exits_2(self, capsys):
-        code, out, err = run(capsys, "rewrite", "~" * 3000 + "p")
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    @pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+    def test_3000_level_formulas_get_the_reference_verdict(self, deep_model,
+                                                           capsys, shape):
+        path, m = deep_model
+        text, level, base = _DEEP_SHAPES[shape]
+        truth = _reference_truth(m, level, base)
+        for w in m.states:
+            assert run(capsys, "check", path, w, text) == (
+                (0, "true\n", "") if w in truth else (1, "false\n", ""))
+
+    def test_3000_level_formula_in_a_fresh_interpreter(self, deep_model):
+        """The CLI as installed, on the interpreter's own stack."""
+        import os
+        import subprocess
+        import sys
+        import plausikit
+        path, m = deep_model
+        text, level, base = _DEEP_SHAPES["B[a | ...] q"]
+        truth = _reference_truth(m, level, base)
+        src = os.path.dirname(os.path.dirname(plausikit.__file__))
+        w = m.states[0]
+        done = subprocess.run(
+            [sys.executable, "-m", "plausikit", "check", path, w, text],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            (0, "true\n", "") if w in truth else (1, "false\n", ""))
 
 
 class TestValidity:
@@ -123,6 +199,14 @@ class TestRewrite:
         code, out, err = run(capsys, "rewrite", "[! p] " + "~" * 350 + "q")
         assert (code, out, err) == (0, "p -> ~(" * 350 + "p -> q" + ")" * 350 + "\n", "")
 
+    def test_largest_reduction_within_the_step_budget_prints(self, capsys):
+        from plausikit import has_dynamic, parse
+        from plausikit.syntax import formula_size
+        code, out, err = run(capsys, "rewrite", "[! p] " * 14 + "q")
+        assert (code, err) == (0, "")
+        reduced = parse(out)
+        assert formula_size(reduced) == 2**15 - 1 and not has_dynamic(reduced)
+
     def test_past_the_step_budget_exits_3(self, capsys):
         code, out, err = run(capsys, "rewrite", "[! p] " * 300 + "q")
         assert code == 3 and out == ""
@@ -131,6 +215,12 @@ class TestRewrite:
 
 
 class TestTranslate:
+    def test_output_past_the_print_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "translate", "gt",
+                             "B[a | " * 30 + "p" + "] q" * 30)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_gt(self, capsys):
         code, out, _ = run(capsys, "translate", "gt", "B[a | p] q")
         assert code == 0
@@ -726,6 +816,16 @@ class TestDuplicateNames:
         code, out, err = run(capsys, "gen", str(path))
         assert (code, out) == (2, "")
         assert err == "error: states must be an integer or a [min, max] pair\n"
+
+    @pytest.mark.parametrize("key", ["uniform", "locallyConnected",
+                                     "totalPreorders", "discretePreorders"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, [True]])
+    def test_spec_flags_must_be_booleans(self, capsys, tmp_path, key, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "gen", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} must be true or false, got {value!r}\n"
 
 
 def test_bc_relation_check_on_different_agent_sets_names_the_agents(capsys, tmp_path):

@@ -64,12 +64,12 @@ def test_discrete_orders_have_no_strict_pairs():
 
 
 def test_discrete_plus_connected_forces_singleton_classes():
-    m = generate(GenSpec(3, 3, 1, 1, discrete_preorders=True,
+    m = generate(GenSpec(3, 3, 2, 1, discrete_preorders=True,
                          locally_connected=True, seed=4))
     assert is_locally_connected(m)
-    assert all(rel == frozenset((s, s) for s in m.states) or True
+    assert sorted(m.epist) == ["a", "b"]
+    assert all(rel == frozenset((s, s) for s in m.states)
                for rel in m.epist.values())
-    assert m.epist["a"] == frozenset((s, s) for s in m.states)
 
 
 def test_bad_ranges_rejected():

@@ -1,12 +1,17 @@
 import pytest
 from hypothesis import given, settings
 
+from hypothesis import event
+from hypothesis import strategies as st
+
 from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
                        Implies, InputError, Know, Not, Or, ParseError,
-                       SafeBelief, Top, Upgrade, enumerate_formulas,
-                       format_formula, formula_depth, fragment_of, parse)
+                       ResourceLimitError, SafeBelief, Top, Upgrade,
+                       enumerate_formulas, format_formula, formula_depth,
+                       fragment_of, parse, reduce_dynamic, translate_gt)
+from plausikit.syntax import MAX_PRINTED
 
-from helpers import formulas, ref_format_formula
+from helpers import formulas, ref_format_formula, ref_parse
 
 
 class TestParse:
@@ -105,6 +110,26 @@ class TestFormat:
         assert format_formula(nots(q, lambda f: Or(p, f))) == \
             "p | (" * (n - 1) + "p | q" + ")" * (n - 1)
 
+    def test_past_the_print_budget_raises(self):
+        """translate_gt of 30 nested conditions is a graph of a few hundred
+        nodes; written out as a tree it would be about 25 * 2^30 characters."""
+        f = translate_gt(parse("B[a | " * 30 + "p" + "] q" * 30))
+        with pytest.raises(ResourceLimitError) as err:
+            format_formula(f)
+        assert err.value.cap == MAX_PRINTED
+
+    def test_budget_counts_pieces(self, monkeypatch):
+        """q, then " & " and p per conjunct: 21 pieces."""
+        import plausikit.syntax as syntax
+        chain = Atom("q")
+        for _ in range(10):
+            chain = And(chain, Atom("p"))
+        monkeypatch.setattr(syntax, "MAX_PRINTED", 21)
+        assert format_formula(chain) == "q" + " & p" * 10
+        monkeypatch.setattr(syntax, "MAX_PRINTED", 20)
+        with pytest.raises(ResourceLimitError):
+            format_formula(chain)
+
     def test_non_formulas_are_refused(self):
         for bad in ("p", None, Not("p"), And(Atom("p"), 3)):
             with pytest.raises(TypeError, match="not a formula"):
@@ -121,6 +146,40 @@ def test_format_matches_the_recursive_printer(f):
 @given(formulas())
 def test_parse_inverts_format(f):
     assert parse(format_formula(f)) == f
+
+
+def _parser_inputs():
+    printed = formulas(max_depth=4).map(format_formula)
+    tokens = ["p", "q", "up", "true", "false", "K", "Khat", "B", "Bplus", "Gt",
+              "GtDia", "a", "~", "&", "|", "->", "(", ")", "[", "]", "!", "@"]
+    text = st.one_of(st.text("pqa~&|()[]!->KB @", max_size=40),
+                     st.lists(st.sampled_from(tokens), max_size=30).map(" ".join))
+    inserted = st.tuples(printed, st.integers(0, 200), text).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+    deleted = st.tuples(printed, st.integers(0, 200), st.integers(1, 12)).map(
+        lambda t: t[0][:t[1]] + t[0][t[1] + t[2]:])
+    return st.one_of(printed, inserted, deleted, text)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return str(e), e.position, e.expected
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_parser_inputs())
+def test_parse_matches_the_recursive_parser(text):
+    """The same Formula, or a ParseError with the same message, position and
+    expected tokens."""
+    try:
+        want = _parsed(ref_parse, text)
+    except RecursionError:
+        event("past the recursive parser's depth")
+        return
+    event("parse error" if isinstance(want, tuple) else "formula")
+    assert _parsed(parse, text) == want
 
 
 @settings(max_examples=200, deadline=None)
