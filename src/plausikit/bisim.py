@@ -33,8 +33,8 @@ from operator import or_
 
 from .errors import InputError, ResourceLimitError
 from .model import Model, bits
-from .syntax import (And, Atom, Bot, CondBelief, Formula, Fragment, GtBox,
-                     Know, Not, Or, SafeBelief, Top, format_formula)
+from .syntax import (_NODE_OF_KIND, And, Atom, Bot, CondBelief, Formula,
+                     Fragment, Not, Or, Top, format_formula)
 
 __all__ = [
     "Relation", "Violation", "CheckResult", "PairFamily", "HMReport",
@@ -297,9 +297,6 @@ def _partition(left: Model, right: Model, ops: frozenset) -> list:
     return block
 
 
-_BOXES = {"K": Know, "Bplus": SafeBelief, "Gt": GtBox}
-
-
 def _conj(fs: list) -> Formula:
     return reduce(And, fs) if fs else Top()
 
@@ -318,7 +315,7 @@ def _separator(old: list, clauses: list, s: list, t: list) -> Formula:
     if kind != "Bc":
         # One side's box sees block y and the other's does not.
         y = next(bits(s[j] ^ t[j]))
-        f = _BOXES[kind](a, Not(old[y]))
+        f = _NODE_OF_KIND[kind](a, Not(old[y]))
         return Not(f) if s[j] >> y & 1 else f
     ms, mt = dict(s[j]), dict(t[j])
     x = min(x for x in ms.keys() | mt.keys() if ms.get(x) != mt.get(x))

@@ -88,18 +88,18 @@ def _cmd_translate(ns) -> int:
 
 
 def _cmd_bisim(ns) -> int:
+    if ns.greatest and ns.relation:
+        raise InputError("--greatest and --relation are mutually exclusive")
+    if not (ns.greatest or ns.relation):
+        raise InputError("provide either --relation FILE or --greatest")
     left = load_model(ns.left)
     right = load_model(ns.right)
     frag = _parse_fragment(ns.fragment, "bisimulation")
-    if ns.greatest and ns.relation:
-        raise InputError("--greatest and --relation are mutually exclusive")
     if ns.greatest:
         z = greatest_structural(left, right, frag)
         for w, v in z.sorted_pairs():
             print(f"{w} {v}")
         return 0
-    if not ns.relation:
-        raise InputError("provide either --relation FILE or --greatest")
     rel = relation_from_dict(read_json(ns.relation), left, right)
     if "Bc" in frag:
         res = check_bc(rel, frag)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .model import Model, identity_pairs, read_json
-from .syntax import (And, Announce, Atom, Bot, CondBelief, Formula, Fragment,
-                     GtBox, Implies, Know, Not, Or, SafeBelief, Top, Upgrade)
+from .syntax import (_KIND_OF_NODE, _NODE_OF_KIND, And, Atom, Bot, Formula,
+                     Fragment, Implies, Not, Or, Top)
 
 __all__ = [
     "GenSpec", "generate", "rename_states", "random_formula",
@@ -58,23 +58,21 @@ class GenSpec:
             raise InputError("atom count must be between 0 and 26")
 
 
-_GENSPEC_KEYS = {
-    "states", "agents", "atoms", "uniform", "locallyConnected",
-    "totalPreorders", "discretePreorders", "seed",
-}
+# The keys of a generator spec other than "states", with their GenSpec
+# fields and defaults, in the order genspec_to_dict writes them.
+_GENSPEC_FIELDS = (
+    ("agents", "agents", 1), ("atoms", "atoms", 1),
+    ("uniform", "uniform", False),
+    ("locallyConnected", "locally_connected", False),
+    ("totalPreorders", "total_preorders", False),
+    ("discretePreorders", "discrete_preorders", False),
+    ("seed", "seed", 0))
+_GENSPEC_KEYS = {"states", *(key for key, _, _ in _GENSPEC_FIELDS)}
 
 
 def genspec_to_dict(spec: GenSpec) -> dict:
-    return {
-        "states": [spec.min_states, spec.max_states],
-        "agents": spec.agents,
-        "atoms": spec.atoms,
-        "uniform": spec.uniform,
-        "locallyConnected": spec.locally_connected,
-        "totalPreorders": spec.total_preorders,
-        "discretePreorders": spec.discrete_preorders,
-        "seed": spec.seed,
-    }
+    return {"states": [spec.min_states, spec.max_states],
+            **{key: getattr(spec, name) for key, name, _ in _GENSPEC_FIELDS}}
 
 
 def genspec_from_dict(d: dict) -> GenSpec:
@@ -91,12 +89,8 @@ def genspec_from_dict(d: dict) -> GenSpec:
     else:
         raise InputError("states must be an integer or a [min, max] pair")
     settings = {}
-    for key, name, default in (
-            ("agents", "agents", 1), ("atoms", "atoms", 1), ("seed", "seed", 0),
-            ("uniform", "uniform", False),
-            ("locallyConnected", "locally_connected", False),
-            ("totalPreorders", "total_preorders", False),
-            ("discretePreorders", "discrete_preorders", False)):
+    # The integers are checked before the flags.
+    for key, name, default in sorted(_GENSPEC_FIELDS, key=lambda t: type(t[2]) is bool):
         value = d.get(key, default)
         # Exact types: isinstance(True, int) holds.
         if type(value) is not type(default):
@@ -203,28 +197,10 @@ def random_formula(rng: random.Random, atoms, agents, fragment: Fragment,
         if pick == "false":
             return Bot()
         return Atom(pick)
-    kinds = ["not", "and", "or", "implies"]
-    for kind in fragment:
-        kinds.append(kind)
-    kind = rng.choice(kinds)
-    sub = lambda: random_formula(rng, atoms, agents, fragment, depth - 1)
-    if kind == "not":
-        return Not(sub())
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    agent = rng.choice(agents)
-    if kind == "K":
-        return Know(agent, sub())
-    if kind == "Bc":
-        return CondBelief(agent, sub(), sub())
-    if kind == "Bplus":
-        return SafeBelief(agent, sub())
-    if kind == "Gt":
-        return GtBox(agent, sub())
-    if kind == "Ann":
-        return Announce(sub(), sub())
-    return Upgrade(sub(), sub())
+    cls = rng.choice([Not, And, Or, Implies, *map(_NODE_OF_KIND.get, fragment)])
+    # Every modal and dynamic kind draws an agent, used or not, before the
+    # operands, which are drawn left to right.
+    args = [rng.choice(agents)][:len(cls._labels)] if cls in _KIND_OF_NODE else []
+    for _ in cls._parts:
+        args.append(random_formula(rng, atoms, agents, fragment, depth - 1))
+    return cls(*args)

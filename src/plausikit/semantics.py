@@ -15,13 +15,10 @@ use of distinct evaluators.
 from __future__ import annotations
 
 from .model import Index, Model, box
-from .syntax import (And, Announce, Atom, Bot, CondBelief, Formula, GtBox,
-                     Implies, Know, Not, Or, SafeBelief, Top, Upgrade,
-                     children)
+from .syntax import (_KIND_OF_NODE, And, Announce, Atom, Bot, CondBelief,
+                     Formula, Implies, Not, Or, Top, Upgrade, children)
 
 __all__ = ["Evaluator", "holds", "truth_set", "is_valid_on"]
-
-_BOX_KIND = {Know: "K", SafeBelief: "Bplus", GtBox: "Gt"}
 
 
 class Evaluator:
@@ -104,7 +101,7 @@ class Evaluator:
             return (ix.live & ~parts[0]) | parts[1]
         if kind is CondBelief:
             return box(ix.best(f.agent, parts[0]), parts[1])
-        return box(ix.groups(_BOX_KIND[kind], f.agent), parts[0])
+        return box(ix.groups(_KIND_OF_NODE[kind], f.agent), parts[0])
 
 
 def truth_set(m: Model, f: Formula) -> frozenset:

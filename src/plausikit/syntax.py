@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceLimitError
@@ -285,6 +286,7 @@ _KIND_OF_NODE = {
     Announce: "Ann",
     Upgrade: "Up",
 }
+_NODE_OF_KIND = {kind: cls for cls, kind in _KIND_OF_NODE.items()}
 
 
 def fragment_of(f: Formula) -> Fragment:
@@ -506,7 +508,7 @@ def format_formula(f: Formula) -> str:
                     out.append("~")
                     g, space = inner, ""
             elif isinstance(g, (Know, SafeBelief, GtBox)):
-                out.append(f"{_BOX[type(g)]}[{g.agent}]")
+                out.append(f"{_KIND_OF_NODE[type(g)]}[{g.agent}]")
                 g, space = g.sub, " "
             else:
                 raise TypeError(f"not a formula: {g!r}")
@@ -527,7 +529,6 @@ def format_formula(f: Formula) -> str:
 # Infix operators: text, own level, and the levels of the left and right
 # operands.
 _INFIX = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Implies: (" -> ", 1, 2, 1)}
-_BOX = {Know: "K", SafeBelief: "Bplus", GtBox: "Gt"}
 _INFIX_OF = {text.strip(): cls for cls, (text, *_) in _INFIX.items()}
 
 
@@ -554,43 +555,17 @@ def enumerate_formulas(atoms: Iterable[str], agents: Iterable[str],
     seen: set[Formula] = set(base)
     yield from base
     prev = list(base)
+    # A node class takes an agent for each label field (none or one), then
+    # one operand per subformula field.
+    classes = [Not, And, *map(_NODE_OF_KIND.get, fragment)]
     for _ in range(depth):
         fresh: list[Formula] = []
-
-        def emit(g: Formula) -> None:
-            if g not in seen:
-                seen.add(g)
-                fresh.append(g)
-
-        for f in prev:
-            emit(Not(f))
-        for f in prev:
-            for g in prev:
-                emit(And(f, g))
-        if "K" in fragment:
-            for i in agents:
-                for f in prev:
-                    emit(Know(i, f))
-        if "Bc" in fragment:
-            for i in agents:
-                for c in prev:
-                    for f in prev:
-                        emit(CondBelief(i, c, f))
-        if "Bplus" in fragment:
-            for i in agents:
-                for f in prev:
-                    emit(SafeBelief(i, f))
-        if "Gt" in fragment:
-            for i in agents:
-                for f in prev:
-                    emit(GtBox(i, f))
-        if "Ann" in fragment:
-            for c in prev:
-                for f in prev:
-                    emit(Announce(c, f))
-        if "Up" in fragment:
-            for c in prev:
-                for f in prev:
-                    emit(Upgrade(c, f))
+        for cls in classes:
+            for args in product(*[agents] * len(cls._labels),
+                                *[prev] * len(cls._parts)):
+                g = cls(*args)
+                if g not in seen:
+                    seen.add(g)
+                    fresh.append(g)
         yield from fresh
         prev.extend(fresh)

@@ -13,24 +13,28 @@ the bisimulation procedures that now read the partition-refinement engine.
 from the refined blocks that ``definable_pairs`` reads it off.
 ``ref_model_to_json`` is the whole-document ``json.dumps`` that
 ``model_to_json`` once was, and ``ref_format_formula`` the recursive printer
-that ``format_formula`` once was.
+that ``format_formula`` once was.  ``ref_enumerate_formulas`` and
+``ref_random_formula`` are the per-kind forms of ``enumerate_formulas`` and
+``random_formula``, which read the syntax module's operator table.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
+from itertools import combinations
 from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
 from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
-                       Fragment, GtBox, Implies, Know, Model, Not, Or,
+                       Formula, Fragment, GtBox, Implies, Know, Model, Not, Or,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
-from plausikit.syntax import (_BINARY, _MODAL_HEADS, ParseError, _lex,
-                              gt_dia, khat)
+from plausikit.syntax import (_BINARY, _MODAL_HEADS, OPERATOR_KINDS, ParseError,
+                              _lex, gt_dia, khat)
 from plausikit.model import bits, box
 from plausikit.rewrite import _contract
 from plausikit.syntax import children, rebuild
@@ -347,6 +351,102 @@ class _RefParser:
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.pos, ["identifier", "'true'", "'false'", "'('", "'~'", "'['"])
+
+
+def all_fragments() -> list:
+    """The 64 fragments, by number of kinds, the Boolean one first."""
+    return [Fragment.of(*kinds) for r in range(len(OPERATOR_KINDS) + 1)
+            for kinds in combinations(OPERATOR_KINDS, r)]
+
+
+def ref_enumerate_formulas(atoms, agents, fragment: Fragment, depth: int):
+    """The per-kind form of ``enumerate_formulas``, kept as its oracle."""
+    atoms = sorted(set(atoms))
+    agents = sorted(set(agents))
+    base = [Atom(p) for p in atoms] + [Top()]
+    seen = set(base)
+    yield from base
+    prev = list(base)
+    for _ in range(depth):
+        fresh = []
+
+        def emit(g) -> None:
+            if g not in seen:
+                seen.add(g)
+                fresh.append(g)
+
+        for f in prev:
+            emit(Not(f))
+        for f in prev:
+            for g in prev:
+                emit(And(f, g))
+        if "K" in fragment:
+            for i in agents:
+                for f in prev:
+                    emit(Know(i, f))
+        if "Bc" in fragment:
+            for i in agents:
+                for c in prev:
+                    for f in prev:
+                        emit(CondBelief(i, c, f))
+        if "Bplus" in fragment:
+            for i in agents:
+                for f in prev:
+                    emit(SafeBelief(i, f))
+        if "Gt" in fragment:
+            for i in agents:
+                for f in prev:
+                    emit(GtBox(i, f))
+        if "Ann" in fragment:
+            for c in prev:
+                for f in prev:
+                    emit(Announce(c, f))
+        if "Up" in fragment:
+            for c in prev:
+                for f in prev:
+                    emit(Upgrade(c, f))
+        yield from fresh
+        prev.extend(fresh)
+
+
+def ref_random_formula(rng: random.Random, atoms, agents, fragment: Fragment,
+                       depth: int) -> Formula:
+    """The per-kind form of ``random_formula``, kept as its oracle: the
+    same draws from rng in the same order."""
+    atoms = sorted(atoms)
+    agents = sorted(agents)
+    if depth <= 0 or rng.random() < 0.30:
+        pick = rng.choice(atoms + ["true", "false"])
+        if pick == "true":
+            return Top()
+        if pick == "false":
+            return Bot()
+        return Atom(pick)
+    kinds = ["not", "and", "or", "implies"]
+    for kind in fragment:
+        kinds.append(kind)
+    kind = rng.choice(kinds)
+    sub = lambda: ref_random_formula(rng, atoms, agents, fragment, depth - 1)
+    if kind == "not":
+        return Not(sub())
+    if kind == "and":
+        return And(sub(), sub())
+    if kind == "or":
+        return Or(sub(), sub())
+    if kind == "implies":
+        return Implies(sub(), sub())
+    agent = rng.choice(agents)
+    if kind == "K":
+        return Know(agent, sub())
+    if kind == "Bc":
+        return CondBelief(agent, sub(), sub())
+    if kind == "Bplus":
+        return SafeBelief(agent, sub())
+    if kind == "Gt":
+        return GtBox(agent, sub())
+    if kind == "Ann":
+        return Announce(sub(), sub())
+    return Upgrade(sub(), sub())
 
 
 def ref_uniformity_counterexample(m: Model):

@@ -291,6 +291,19 @@ class TestBisim:
         code, _, err = run(capsys, "bisim", left, right)
         assert code == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        ((), "provide either --relation FILE or --greatest"),
+        (("--greatest", "--relation", "z.json"),
+         "--greatest and --relation are mutually exclusive"),
+    ])
+    def test_mode_is_checked_before_the_models_are_read(self, tmp_path, capsys,
+                                                        flags, message):
+        left, right = str(tmp_path / "no-left.json"), str(tmp_path / "no-right.json")
+        code, _, err = run(capsys, "bisim", left, right, *flags)
+        assert code == 2
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"error: {message}"]
+
 
 class TestEquiv:
     def test_equivalent_points(self, corpus_files, capsys):

@@ -9,7 +9,7 @@ from plausikit import (Fragment, GenSpec, InputError, ResourceLimitError,
                        model_to_json, random_formula, rename_states, strict,
                        validate)
 
-from helpers import broken_models
+from helpers import all_fragments, broken_models, ref_random_formula
 
 
 def test_identical_spec_and_seed_give_identical_bytes():
@@ -85,6 +85,15 @@ def test_genspec_document_round_trip():
     spec = GenSpec(2, 4, 2, 1, uniform=True, seed=99)
     doc = genspec_to_dict(spec)
     assert genspec_from_dict(doc) == spec
+    every = GenSpec(2, 5, 3, 2, uniform=True, locally_connected=True,
+                    total_preorders=True, discrete_preorders=True, seed=7)
+    doc = genspec_to_dict(every)
+    assert list(doc) == ["states", "agents", "atoms", "uniform", "locallyConnected",
+                         "totalPreorders", "discretePreorders", "seed"]
+    assert genspec_from_dict(doc) == every
+    # The integers are checked before the flags.
+    with pytest.raises(InputError, match="^seed must be an integer"):
+        genspec_from_dict({"uniform": 1, "seed": "7"})
     assert genspec_from_dict({"states": 3}) == GenSpec(3, 3)
     with pytest.raises(InputError):
         genspec_from_dict({"state": 3})
@@ -120,6 +129,18 @@ def test_random_formula_is_deterministic_in_the_rng():
     b = [random_formula(random.Random(42), ["p", "q"], ["a", "b"],
                         Fragment.of("K", "Bc"), 3) for _ in range(5)]
     assert a == b
+
+
+def test_random_formula_matches_the_per_kind_sampler_in_every_fragment():
+    """The same depth-4 formula from the same seed in all 64 fragments, and
+    the RNG left in the same state: the draws and their order are kept."""
+    for frag in all_fragments():
+        for seed in range(500):
+            got, want = random.Random(seed), random.Random(seed)
+            assert (random_formula(got, ["q", "p"], ["b", "a"], frag, 4)
+                    == ref_random_formula(want, ["q", "p"], ["b", "a"], frag, 4)
+                    ), (str(frag), seed)
+            assert got.random() == want.random(), (str(frag), seed)
 
 
 def test_state_limit_is_checked_before_generating():

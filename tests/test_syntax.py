@@ -11,7 +11,8 @@ from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
                        fragment_of, parse, reduce_dynamic, translate_gt)
 from plausikit.syntax import MAX_PRINTED
 
-from helpers import formulas, ref_format_formula, ref_parse
+from helpers import (all_fragments, formulas, ref_enumerate_formulas,
+                     ref_format_formula, ref_parse)
 
 
 class TestParse:
@@ -269,6 +270,15 @@ class TestEnumerate:
     def test_negative_depth_rejected(self):
         with pytest.raises(InputError):
             list(enumerate_formulas(["p"], ["a"], Fragment.of(), -1))
+
+    def test_matches_the_per_kind_enumerator_in_every_fragment(self):
+        """The same formulas in the same order, in all 64 fragments: to depth
+        1, and to depth 2 where the fragment has at most two kinds."""
+        for frag in all_fragments():
+            for depth in range(3 if len(frag.operators) <= 2 else 2):
+                args = (["q", "p"], ["b", "a"], frag, depth)
+                assert (list(enumerate_formulas(*args))
+                        == list(ref_enumerate_formulas(*args))), (str(frag), depth)
 
 
 class TestNodes:
