@@ -23,7 +23,7 @@ from .model import (connectedness_counterexample, is_image_finite, load_model,
 from .rewrite import reduce_dynamic, translate_gt, translate_safe
 from .semantics import holds, is_valid_on
 from .suites import run_suite, suite_names
-from .syntax import Fragment, format_formula, parse
+from .syntax import Fragment, Printer, format_formula, parse
 
 
 def _parse_fragment(text: str, purpose: str) -> Fragment:
@@ -73,10 +73,12 @@ def _cmd_transform(ns) -> int:
 def _cmd_rewrite(ns) -> int:
     f = parse(ns.formula)
     reduced, trace = reduce_dynamic(f)
-    print(format_formula(reduced))
+    # One printer for the output and every step: what recurs is written once.
+    printer = Printer()
+    print(printer(reduced))
     if ns.trace:
         for k, step in enumerate(trace):
-            print(f"step {k + 1}: {step}")
+            print(f"step {k + 1}: {step.format(printer)}")
     return 0
 
 

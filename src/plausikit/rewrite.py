@@ -8,10 +8,14 @@ does it: a node's children are normalised left to right, then a dynamic node
 is contracted and its result normalised in place.  A subtree that holds a
 dynamic node holds a redex, so this is the order in which a search for the
 first redex in preorder, repeated after each step, would contract them.
-Each contraction is recorded, and ``replay`` audits a recorded run by
-running the pass again.  The pass takes at most ``MAX_STEPS`` contractions.
-``translate_gt`` and ``translate_safe`` run the same pass with conditional
-belief as the redex and its one-node unfolding as the contraction.
+The pass memoises normal forms by value for the length of one call, so
+each distinct redex is contracted once and the output is a shared graph;
+the trace is kept as memo segments and written out when it is read.
+``replay`` audits a recorded run by running the pass again.  A trace may
+have at most ``MAX_STEPS`` steps, and the pass stops as soon as its count
+passes that.  ``translate_gt`` and ``translate_safe`` run the same pass
+with conditional belief as the redex and its one-node unfolding as the
+contraction.
 
 Termination measure (strictly decreased by every contraction): the pair
 
@@ -41,9 +45,10 @@ __all__ = [
     "rewrite_measure", "translate_gt", "translate_safe",
 ]
 
-# Contractions one pass may make.  Reduction can blow up exponentially (Lutz,
+# Steps one trace may have.  Reduction can blow up exponentially (Lutz,
 # AAMAS 2006): [! p]^k q takes 2^(k+1) - k - 2 steps, so k = 14 fits and
-# k = 15 does not.
+# k = 15 does not, though with the memo either takes a few dozen
+# contractions.
 MAX_STEPS = 2**15
 
 
@@ -58,20 +63,77 @@ class RewriteStep:
     after: Formula
 
     def __str__(self):
+        return self.format(format_formula)
+
+    def format(self, printer) -> str:
+        """This step as one line, with formulas rendered by ``printer``."""
         where = ".".join(map(str, self.path)) or "root"
-        return (f"{self.rule} at {where}: "
-                f"{format_formula(self.before)}  =>  {format_formula(self.after)}")
+        return f"{self.rule} at {where}: {printer(self.before)}  =>  {printer(self.after)}"
 
 
-@dataclass(frozen=True)
 class RewriteTrace:
-    steps: tuple
+    """The steps of one run of the pass, in order.
+
+    ``RewriteTrace(steps)`` holds the steps it is given.  A trace that the
+    pass returns holds the pass's memo instead: its length is the memo's
+    step count, and ``steps`` writes the steps out on first access, with
+    their paths from the root, through an explicit stack."""
+
+    __slots__ = ("_steps", "_segment", "_len")
+
+    def __init__(self, steps=()):
+        self._steps = tuple(steps)
+        self._segment = None
+        self._len = len(self._steps)
+
+    @classmethod
+    def _of(cls, entry):
+        trace = cls.__new__(cls)
+        trace._steps = None
+        _, trace._segment, trace._len = entry
+        return trace
+
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:
+            self._steps = _expand(self._segment)
+            self._segment = None
+        return self._steps
 
     def __iter__(self):
         return iter(self.steps)
 
     def __len__(self):
-        return len(self.steps)
+        return self._len
+
+    def __eq__(self, other):
+        if not isinstance(other, RewriteTrace):
+            return NotImplemented
+        return len(self) == len(other) and self.steps == other.steps
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"RewriteTrace(steps={self.steps!r})"
+
+
+def _expand(segment) -> tuple:
+    """The steps a memo segment stands for, in order; see ``_normalise``."""
+    steps = []
+    stack = [(iter(segment), ())]
+    while stack:
+        items, path = stack[-1]
+        for item in items:
+            if len(item) == 3:
+                steps.append(RewriteStep(path, *item))
+                continue
+            at, entry = item
+            stack.append((iter(entry[1]), path if at is None else path + (at,)))
+            break
+        else:
+            stack.pop()
+    return tuple(steps)
 
 
 def replay(f: Formula, trace: RewriteTrace) -> Formula:
@@ -152,39 +214,92 @@ def _contract(red: Formula):
 
 def _normalise(f: Formula, kind, contract):
     """Contract every node of the given kind, innermost first, in one
-    post-order pass; returns (normal form, steps).  ``contract`` maps a
-    node of that kind whose children hold none to (rule, result).  The pass
-    keeps an explicit stack, so the depth of f is not bounded by Python's
-    recursion.  More than ``MAX_STEPS`` contractions raise
-    ``ResourceLimitError``."""
-    steps = []
-    normal = {}  # id -> node known to be normal; the values keep ids in use
-    stack = [(f, (), [])]  # node, its path, normal forms of its first kids
+    post-order pass; returns (normal form, trace).  ``contract`` maps a
+    node of that kind whose children hold none to (rule, result).
+
+    The pass keeps one memo per call, from formula (by value) to an entry
+    (normal form, segment, step count).  So each distinct redex is
+    contracted once, equal subterms share one normal form object, and the
+    work is in proportion to the distinct formulas, not to the trace.  A
+    segment lists a node's part of the trace, with paths relative to the
+    node: ``(i, entry)`` for the steps of child i, ``(rule, before,
+    after)`` for a contraction at the node, and ``(None, entry)`` for the
+    steps that normalise a result in its place.  The pass keeps an
+    explicit stack, so the depth of f is not bounded by Python's recursion.
+    It counts the steps of the trace as it goes, memo hits included, and a
+    trace of more than ``MAX_STEPS`` steps raises ``ResourceLimitError`` as
+    soon as the count passes it."""
+    memo = {}
+    steps = 0  # steps of the trace up to the node in hand
+    # A frame: a node, the entries of its children so far and then of its
+    # contraction's result, and (redex, rule, result) once it is contracted.
+    stack = [[f, [], None]]
     while True:
-        g, path, kids = stack[-1]
+        frame = stack[-1]
+        g, kids, contracted = frame
         parts = g._parts
-        if len(kids) < len(parts):
-            kid = getattr(g, parts[len(kids)])
-            if id(kid) in normal:
-                kids.append(kid)
+        k = len(kids)
+        if k < len(parts) or contracted and k == len(parts):
+            sub = getattr(g, parts[k]) if k < len(parts) else contracted[2]
+            if not sub._parts:  # a leaf is its own normal form
+                kids.append((sub, (), 0))
+                continue
+            entry = memo.get(sub)
+            if entry is None:
+                stack.append([sub, [], None])
+                continue
+            kids.append(entry)
+            steps += entry[2]
+        else:
+            if contracted:
+                red, rule, out = contracted
+                done = kids.pop()
+                redex = memo[red] = (
+                    done[0], ((rule, red, out), (None, done)) if done[2]
+                    else ((rule, red, out),), 1 + done[2])
             else:
-                stack.append((kid, path + (len(kids),), []))
-            continue
-        stack.pop()
-        if any(new is not getattr(g, name) for new, name in zip(kids, parts)):
-            g = rebuild(g, tuple(kids))
-        if isinstance(g, kind):
-            if len(steps) >= MAX_STEPS:
-                raise ResourceLimitError(
-                    f"rewriting takes more than {MAX_STEPS} steps", MAX_STEPS)
-            rule, out = contract(g)
-            steps.append(RewriteStep(path, rule, g, out))
-            stack.append((out, path, []))
-            continue
-        normal[id(g)] = g
-        if not stack:
-            return g, steps
-        stack[-1][2].append(g)
+                red, known = g, None
+                for e, name in zip(kids, parts):
+                    if e[0] is not getattr(g, name):
+                        # Unchanged, g is in no entry; rebuilt, it may be.
+                        red = rebuild(g, tuple([e[0] for e in kids]))
+                        known = memo.get(red)
+                        break
+                redex = None
+                if isinstance(red, kind):
+                    redex = known
+                    if redex is None:
+                        frame[2] = (red, *contract(red))
+                        steps += 1
+                    else:
+                        steps += redex[2]
+                elif known:
+                    red = known[0]  # the one object of that normal form
+            if frame[2] is contracted:  # nothing is left to normalise
+                count = 0
+                for e in kids:
+                    count += e[2]
+                segment = (tuple([(i, e) for i, e in enumerate(kids) if e[2]])
+                           if count else ())
+                if redex is None:
+                    entry = (red, segment, count)
+                elif segment:
+                    entry = (redex[0], segment + ((None, redex),), count + redex[2])
+                else:
+                    entry = redex
+                if entry[0] is not g:
+                    # The normal form goes in first, so that it is the key
+                    # of its value, and lookups of formulas built from
+                    # normal forms compare one node deep.
+                    memo.setdefault(entry[0], (entry[0], (), 0))
+                memo[g] = entry
+                stack.pop()
+                if not stack:
+                    return entry[0], RewriteTrace._of(entry)
+                stack[-1][1].append(entry)
+        if steps > MAX_STEPS:
+            raise ResourceLimitError(
+                f"rewriting takes more than {MAX_STEPS} steps", MAX_STEPS)
 
 
 def reduce_dynamic(f: Formula):
@@ -192,9 +307,9 @@ def reduce_dynamic(f: Formula):
 
     Returns (static formula, trace).  The result is equivalent to the input
     on every model; the property suite checks this rather than assuming it.
+    It is a shared graph: equal subterms are one object.
     """
-    g, steps = _normalise(f, _DYNAMIC, _contract)
-    return g, RewriteTrace(tuple(steps))
+    return _normalise(f, _DYNAMIC, _contract)
 
 
 # ---------------------------------------------------------------------------

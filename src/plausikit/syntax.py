@@ -41,29 +41,47 @@ __all__ = [
 ]
 
 
+# Node pairs an equality check compares before it remembers them: small
+# formulas, which the evaluator's caches compare all the time, never pay for
+# the set.
+_EQ_UNSEEN = 64
+
+
 class Formula:
     """Base class for all formula nodes.
 
     A node's hash is computed once, when it is built, from its class name and
     its fields; a child's hash is cached in turn, so hashing never recurses
     however deep the formula.  Equality is structural and walks the two
-    formulas through a work list, so it does not recurse either.
+    formulas through a work list, so it does not recurse either.  Past the
+    first few pairs the walk remembers the pairs of nodes it has compared,
+    so two equal graphs that share subformulas compare in time linear in
+    their distinct nodes, not in their tree size.
     """
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         todo = [(self, other)]
+        seen = None  # pairs of node ids compared, once todo is long
         for a, b in todo:
-            if a is not b:
-                da, db = a.__dict__, b.__dict__
-                if da["_hash"] != db["_hash"] or type(a) is not type(b):
+            if a is b:
+                continue
+            da, db = a.__dict__, b.__dict__
+            if da["_hash"] != db["_hash"] or type(a) is not type(b):
+                return False
+            for name in a._labels:
+                if da[name] != db[name]:
                     return False
-                for name in a._labels:
-                    if da[name] != db[name]:
-                        return False
-                for name in a._parts:
-                    todo.append((da[name], db[name]))
+            if seen is not None:
+                pair = (id(a), id(b))
+                if pair in seen:
+                    continue
+                seen.add(pair)
+            elif len(todo) > _EQ_UNSEEN:
+                seen = set()
+            for name in a._parts:
+                todo.append((da[name], db[name]))
         return True
 
     def __hash__(self) -> int:
@@ -217,20 +235,58 @@ def walk(f: Formula) -> Iterator[tuple[Formula, int]]:
             stack.extend((getattr(g, name), d + 1) for name in reversed(parts))
 
 
+def _nodes(f: Formula) -> Iterator[Formula]:
+    """Every distinct node of f, told apart by identity, once each.  A
+    formula is a graph that may share subformulas; this visits the graph,
+    not the tree it stands for."""
+    seen = {id(f)}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for name in g._parts:
+            kid = getattr(g, name)
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                stack.append(kid)
+
+
+def _bottom_up(f: Formula, combine):
+    """``combine(values of the children)`` at every distinct node of f,
+    children first, with its own stack; returns the value at f."""
+    value = {}  # id -> value; the nodes stay alive inside f
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in value:
+            stack.pop()
+            continue
+        kids = [getattr(g, name) for name in g._parts]
+        todo = [kid for kid in kids if id(kid) not in value]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        value[id(g)] = combine([value[id(kid)] for kid in kids])
+    return value[id(f)]
+
+
 def formula_depth(f: Formula) -> int:
     """Nesting depth; atoms and constants sit at depth 0, every other node
     adds one layer, Boolean and modal alike."""
-    return max(d for _, d in walk(f))
+    return _bottom_up(f, lambda kids: 1 + max(kids) if kids else 0)
 
 
 def formula_size(f: Formula) -> int:
-    """Number of AST nodes."""
-    return sum(1 for _ in walk(f))
+    """Number of AST nodes of f written out as a tree.  It is counted over
+    the distinct nodes, so a shared graph whose tree is exponentially large
+    gets its exact size as a big int."""
+    return _bottom_up(f, lambda kids: 1 + sum(kids))
 
 
 def has_dynamic(f: Formula) -> bool:
     """True when an announcement or upgrade operator occurs anywhere in f."""
-    return any(isinstance(g, _DYNAMIC) for g, _ in walk(f))
+    return any(isinstance(g, _DYNAMIC) for g in _nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +347,7 @@ _NODE_OF_KIND = {kind: cls for cls, kind in _KIND_OF_NODE.items()}
 
 def fragment_of(f: Formula) -> Fragment:
     """Smallest fragment containing every operator kind occurring in f."""
-    kinds = {_KIND_OF_NODE.get(type(g)) for g, _ in walk(f)}
+    kinds = {_KIND_OF_NODE.get(type(g)) for g in _nodes(f)}
     kinds.discard(None)
     return Fragment(frozenset(kinds))
 
@@ -453,77 +509,145 @@ def parse(text: str) -> Formula:
 
 # Pieces of text one rendering may write.  A formula is a shared graph but is
 # printed as a tree, which can be exponentially larger: translate_gt of k
-# nested conditions B[a | ...] prints about 25 * 2^k characters.  2^20 pieces
-# take about half a second; [! p]^14 q, reduced, prints in about 49,000.
+# nested conditions B[a | ...] prints about 25 * 2^k characters.  The count
+# comes before the text, so a formula over the budget costs no writing;
+# [! p]^14 q, reduced, prints in about 49,000 pieces.
 MAX_PRINTED = 2**20
+
+
+class Printer:
+    """Canonical rendering of formulas that shares its work across calls.
+
+    A node's text does not depend on where it stands: its parent adds the
+    parentheses a binary operand needs.  So a printer keeps, per distinct
+    node (told apart by identity), the node's layout (its pieces of text
+    and its subformulas, in order) and its piece count, and the text of
+    every node it has reached more than once.  ``printer(f)`` first counts
+    the pieces of f over the graph, without writing any text, and raises
+    ResourceLimitError if there are more than ``MAX_PRINTED``.  It then
+    writes the text with its own stack of what is still to write, so the
+    depth of f is not bounded by Python's recursion.  A subformula that
+    recurs, within one formula or across the calls of one printer, is
+    written once.  The printer holds on to every formula it printed; make
+    one per run."""
+
+    def __init__(self):
+        self._known = {}  # id -> [node, layout, pieces or 0, references]
+        self._texts = {}  # id -> text, for nodes reached more than once
+
+    def __call__(self, f: Formula) -> str:
+        pieces = self._count(f)
+        if pieces > MAX_PRINTED:
+            raise ResourceLimitError(
+                f"the formula prints as more than {MAX_PRINTED} pieces",
+                MAX_PRINTED)
+        return self._write(f)
+
+    def _count(self, f) -> int:
+        """The piece count of f; records every node of f not seen before."""
+        known = self._known
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            record = known.get(id(g))
+            if record is None:  # first reached: lay it out, then its parts
+                record = known[id(g)] = [g, _layout(g), 0, 0]
+                subs = [x for x in record[1]
+                        if type(x) is not str and id(x) not in known]
+                if subs:
+                    stack.append(g)
+                    stack += subs
+                    continue
+            elif record[2]:  # counted already
+                continue
+            pieces = 0
+            for x in record[1]:
+                if type(x) is str:
+                    pieces += 1
+                else:
+                    sub = known[id(x)]
+                    sub[3] += 1
+                    pieces += sub[2]
+            record[2] = pieces
+        root = known[id(f)]
+        root[3] += 1
+        return root[2]
+
+    def _write(self, f) -> str:
+        known, texts = self._known, self._texts
+        bufs = [[]]
+        todo = [f]
+        while todo:
+            x = todo.pop()
+            if type(x) is str:
+                bufs[-1].append(x)
+            elif type(x) is int:  # the end of a recurring node's text
+                text = texts[x] = "".join(bufs.pop())
+                bufs[-1].append(text)
+            elif id(x) in texts:
+                bufs[-1].append(texts[id(x)])
+            else:
+                _, layout, _, references = known[id(x)]
+                if references > 1:
+                    bufs.append([])
+                    todo.append(id(x))
+                todo.extend(reversed(layout))
+        return "".join(bufs[0])
 
 
 def format_formula(f: Formula) -> str:
     """Deterministic canonical rendering; parse(format_formula(f)) == f.
 
-    The printer keeps its own stack of what is still to write, text or
-    (node, level), so the depth of f is not bounded by Python's recursion.
-    It writes a node's text up to its first subformula, stacks what follows
-    that subformula and goes on into it.  A rendering of more than
-    ``MAX_PRINTED`` pieces raises ResourceLimitError, without being
-    written out in full."""
-    out: list[str] = []
-    todo: list = [(f, 0)]
-    while todo and len(out) <= MAX_PRINTED:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        g, level = item
-        while True:
-            if isinstance(g, (Atom, Top, Bot)):
-                out.append(g.name if isinstance(g, Atom)
-                           else "true" if isinstance(g, Top) else "false")
-                break
-            if isinstance(g, _BINARY):
-                op, own, left, right = _INFIX[type(g)]
-                if level > own:
-                    out.append("(")
-                    todo.append(")")
-                todo += ((g.right, right), op)
-                g, level = g.left, left
-                continue
-            if isinstance(g, (CondBelief, Announce, Upgrade)):
-                # The bracket holds the first subformula; the box's operand
-                # follows it.
-                out.append(f"B[{g.agent} | " if isinstance(g, CondBelief)
-                           else "[! " if isinstance(g, Announce) else "[up ")
-                first, sub = children(g)
-                todo += ((")", (sub, 0), "](") if isinstance(sub, _BINARY)
-                         else ((sub, 4), "] "))
-                g, level = first, 0
-                continue
-            if isinstance(g, Not):
-                inner = g.sub
-                if isinstance(inner, (Know, GtBox)) and isinstance(inner.sub, Not):
-                    out.append(f"{'Khat' if isinstance(inner, Know) else 'GtDia'}"
-                               f"[{inner.agent}]")
-                    g, space = inner.sub.sub, " "
-                else:
-                    out.append("~")
-                    g, space = inner, ""
-            elif isinstance(g, (Know, SafeBelief, GtBox)):
-                out.append(f"{_KIND_OF_NODE[type(g)]}[{g.agent}]")
-                g, space = g.sub, " "
-            else:
-                raise TypeError(f"not a formula: {g!r}")
-            # The operand: a binary one in parentheses, any other after space.
-            if isinstance(g, _BINARY):
-                out.append("(")
-                todo.append(")")
-                level = 0
-            else:
-                out.append(space)
-                level = 4
-    if len(out) > MAX_PRINTED:
-        raise ResourceLimitError(
-            f"the formula prints as more than {MAX_PRINTED} pieces", MAX_PRINTED)
-    return "".join(out)
+    A rendering of more than ``MAX_PRINTED`` pieces raises
+    ResourceLimitError before any text is written; see ``Printer``."""
+    return Printer()(f)
+
+
+def _layout(g) -> tuple:
+    """The text of g in order: its own pieces, and the subformulas whose
+    text goes between them."""
+    if isinstance(g, Atom):
+        return (g.name,)
+    if isinstance(g, Top):
+        return ("true",)
+    if isinstance(g, Bot):
+        return ("false",)
+    if isinstance(g, _BINARY):
+        op, _, left, right = _INFIX[type(g)]
+        return (*_at_level(g.left, left), op, *_at_level(g.right, right))
+    if isinstance(g, (CondBelief, Announce, Upgrade)):
+        # The bracket holds the first subformula; the box's operand follows.
+        head = (f"B[{g.agent} | " if isinstance(g, CondBelief)
+                else "[! " if isinstance(g, Announce) else "[up ")
+        first, sub = children(g)
+        return (head, *_at_level(first, 0), *_operand(sub, "](", "] "))
+    if isinstance(g, Not):
+        inner = g.sub
+        if isinstance(inner, (Know, GtBox)) and isinstance(inner.sub, Not):
+            return (f"{'Khat' if isinstance(inner, Know) else 'GtDia'}"
+                    f"[{inner.agent}]", *_operand(inner.sub.sub, "(", " "))
+        return ("~", *_operand(inner, "(", ""))
+    if isinstance(g, (Know, SafeBelief, GtBox)):
+        return (f"{_KIND_OF_NODE[type(g)]}[{g.agent}]", *_operand(g.sub, "(", " "))
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _at_level(g, level: int) -> tuple:
+    """g where its context binds at ``level``: a binary operator that binds
+    less tightly goes in parentheses."""
+    if not isinstance(g, Formula):
+        raise TypeError(f"not a formula: {g!r}")
+    if isinstance(g, _BINARY) and level > _INFIX[type(g)][1]:
+        return ("(", g, ")")
+    return (g,)
+
+
+def _operand(g, opening: str, space: str) -> tuple:
+    """The operand of a box or a bracket: a binary one in parentheses that
+    open with ``opening``, any other after ``space``."""
+    if isinstance(g, _BINARY):
+        return (opening, g, ")")
+    return (space, *_at_level(g, 4))
 
 
 # Infix operators: text, own level, and the levels of the left and right

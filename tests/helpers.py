@@ -12,8 +12,9 @@ the bisimulation procedures that now read the partition-refinement engine.
 ``ref_definable_pairs`` computes the definable-pair family by closure, apart
 from the refined blocks that ``definable_pairs`` reads it off.
 ``ref_model_to_json`` is the whole-document ``json.dumps`` that
-``model_to_json`` once was, and ``ref_format_formula`` the recursive printer
-that ``format_formula`` once was.  ``ref_enumerate_formulas`` and
+``model_to_json`` once was, ``ref_format_recursive`` the recursive printer
+that ``format_formula`` once was, and ``ref_format_formula`` its later
+single-call stack printer, with the print budget.  ``ref_enumerate_formulas`` and
 ``ref_random_formula`` are the per-kind forms of ``enumerate_formulas`` and
 ``random_formula``, which read the syntax module's operator table.
 """
@@ -33,8 +34,10 @@ from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
                        Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
                        Upgrade, Violation, check_structural, definable_pairs,
                        format_formula, model_to_dict)
-from plausikit.syntax import (_BINARY, _MODAL_HEADS, OPERATOR_KINDS, ParseError,
-                              _lex, gt_dia, khat)
+from plausikit.errors import ResourceLimitError
+from plausikit.syntax import (_BINARY, _INFIX, _KIND_OF_NODE, _MODAL_HEADS,
+                              MAX_PRINTED, OPERATOR_KINDS, ParseError, _lex,
+                              gt_dia, khat)
 from plausikit.model import bits, box
 from plausikit.rewrite import _contract
 from plausikit.syntax import children, rebuild
@@ -170,7 +173,79 @@ def ref_model_to_json(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n"
 
 
-def ref_format_formula(f) -> str:
+def ref_format_formula(f: Formula) -> str:
+    """The one-call stack printer that ``format_formula`` was before it
+    shared work over a graph, kept verbatim as its oracle: the same text,
+    and ResourceLimitError past ``MAX_PRINTED`` pieces.  ``MAX_PRINTED`` is
+    this module's copy of the syntax module's value; a test that changes
+    one changes both.
+
+    The printer keeps its own stack of what is still to write, text or
+    (node, level), so the depth of f is not bounded by Python's recursion.
+    It writes a node's text up to its first subformula, stacks what follows
+    that subformula and goes on into it.  A rendering of more than
+    ``MAX_PRINTED`` pieces raises ResourceLimitError, without being
+    written out in full."""
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo and len(out) <= MAX_PRINTED:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, level = item
+        while True:
+            if isinstance(g, (Atom, Top, Bot)):
+                out.append(g.name if isinstance(g, Atom)
+                           else "true" if isinstance(g, Top) else "false")
+                break
+            if isinstance(g, _BINARY):
+                op, own, left, right = _INFIX[type(g)]
+                if level > own:
+                    out.append("(")
+                    todo.append(")")
+                todo += ((g.right, right), op)
+                g, level = g.left, left
+                continue
+            if isinstance(g, (CondBelief, Announce, Upgrade)):
+                # The bracket holds the first subformula; the box's operand
+                # follows it.
+                out.append(f"B[{g.agent} | " if isinstance(g, CondBelief)
+                           else "[! " if isinstance(g, Announce) else "[up ")
+                first, sub = children(g)
+                todo += ((")", (sub, 0), "](") if isinstance(sub, _BINARY)
+                         else ((sub, 4), "] "))
+                g, level = first, 0
+                continue
+            if isinstance(g, Not):
+                inner = g.sub
+                if isinstance(inner, (Know, GtBox)) and isinstance(inner.sub, Not):
+                    out.append(f"{'Khat' if isinstance(inner, Know) else 'GtDia'}"
+                               f"[{inner.agent}]")
+                    g, space = inner.sub.sub, " "
+                else:
+                    out.append("~")
+                    g, space = inner, ""
+            elif isinstance(g, (Know, SafeBelief, GtBox)):
+                out.append(f"{_KIND_OF_NODE[type(g)]}[{g.agent}]")
+                g, space = g.sub, " "
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            # The operand: a binary one in parentheses, any other after space.
+            if isinstance(g, _BINARY):
+                out.append("(")
+                todo.append(")")
+                level = 0
+            else:
+                out.append(space)
+                level = 4
+    if len(out) > MAX_PRINTED:
+        raise ResourceLimitError(
+            f"the formula prints as more than {MAX_PRINTED} pieces", MAX_PRINTED)
+    return "".join(out)
+
+
+def ref_format_recursive(f) -> str:
     """The recursive form of ``format_formula``, kept as its oracle."""
     return _ref_fmt(f, 0)
 
@@ -845,3 +920,30 @@ def formulas(atoms=("p", "q"), agents=("a", "b"),
         return st.one_of(options)
 
     return st.recursive(leaves, extend, max_leaves=max_depth * 3)
+
+
+@st.composite
+def shared_graphs(draw, max_nodes=24):
+    """A few formulas built as one graph: each new node takes its
+    subformulas from the last few nodes built before it, so subformulas
+    recur, within one formula and across the list, and a formula's tree can
+    be far larger than its graph."""
+    nodes = [Atom("p"), Atom("q"), Top(), Bot()]
+    agent = st.sampled_from(["a", "b"])
+    unary = (Not, lambda f: khat("a", f), lambda f: gt_dia("b", f))
+    boxes = (Know, SafeBelief, GtBox)
+    pairs = (And, Or, Implies, Announce, Upgrade)
+    for _ in range(draw(st.integers(1, max_nodes))):
+        near = st.sampled_from(nodes[-5:])
+        kind = draw(st.sampled_from(("unary", "box", "pair", "belief")))
+        if kind == "unary":
+            g = draw(st.sampled_from(unary))(draw(near))
+        elif kind == "box":
+            g = draw(st.sampled_from(boxes))(draw(agent), draw(near))
+        elif kind == "pair":
+            g = draw(st.sampled_from(pairs))(draw(near), draw(near))
+        else:
+            g = CondBelief(draw(agent), draw(near), draw(near))
+        nodes.append(g)
+    return nodes[-draw(st.integers(1, 4)):]
+

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 
 from plausikit import (And, Announce, Atom, CondBelief, Fragment, GenSpec,
-                       InputError, Know, Not, formula_depth, fragment_of,
+                       InputError, Know, Not, ResourceLimitError, RewriteTrace,
+                       formula_depth, fragment_of,
                        generate, has_dynamic, holds, is_valid_on, parse,
                        random_formula, reduce_dynamic, replay,
                        rewrite_measure, translate_gt, translate_safe,
                        truth_set, iff)
-from plausikit.syntax import formula_size
+from plausikit import rewrite
+from plausikit.syntax import children, formula_size
 
-from helpers import model_with_formula
+from helpers import model_with_formula, ref_reduce_dynamic
 
 
 class TestReduceDynamic:
@@ -90,6 +92,73 @@ class TestReduceDynamic:
             m = two_state(plaus, plaus, atoms={"p": {"w"}, "q": {"v", "w"},
                                                "r": {"v"}})
             assert truth_set(m, f) == truth_set(m, out)
+
+
+def _distinct_nodes(f):
+    seen, todo = {id(f)}, [f]
+    for g in todo:
+        for kid in children(g):
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                todo.append(kid)
+    return len(seen)
+
+
+class TestSharing:
+    """The pass contracts each distinct redex once; a trace keeps its
+    length without being written out.  No test here reads a clock: the
+    contractions are counted."""
+
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        made = []
+        contract = rewrite._contract
+
+        def counted(red):
+            made.append(red)
+            return contract(red)
+        monkeypatch.setattr(rewrite, "_contract", counted)
+        return made
+
+    def test_upgrades_over_belief(self, contractions):
+        out, trace = reduce_dynamic(parse("[up p] " * 8 + "B[a | q] r"))
+        assert len(trace) == 13977 and len(contractions) <= 200
+        assert formula_size(out) == 9972 and _distinct_nodes(out) < 1000
+
+    def test_announcements_up_to_the_step_budget(self, contractions):
+        out, trace = reduce_dynamic(parse("[! p] " * 14 + "q"))
+        assert len(trace) == 32752 and len(contractions) <= 50
+        assert formula_size(out) == 2**15 - 1 and _distinct_nodes(out) < 50
+
+    def test_past_the_step_budget_the_pass_stops_at_once(self, contractions):
+        for k in (15, 300):
+            contractions.clear()
+            with pytest.raises(ResourceLimitError) as err:
+                reduce_dynamic(parse("[! p] " * k + "q"))
+            assert err.value.cap == rewrite.MAX_STEPS == 2**15
+            assert len(contractions) <= 50
+
+    def test_equal_redexes_share_one_normal_form(self, contractions):
+        f = parse("[up p] [! q] B[a | r] p")
+        once = len(reduce_dynamic(f)[1])
+        alone = len(contractions)
+        assert alone < once
+        contractions.clear()
+        out, trace = reduce_dynamic(And(f, Not(parse(str(f)))))
+        assert out.left is out.right.sub
+        assert len(trace) == 2 * once and len(contractions) == alone
+
+    def test_the_trace_is_written_out_once_and_on_demand(self):
+        f = parse("[up p] [! q] B[a | r] p")
+        _, trace = reduce_dynamic(f)
+        assert trace._steps is None
+        n = len(trace)
+        assert trace._steps is None
+        steps = trace.steps
+        assert len(steps) == n and trace.steps is steps
+        assert steps == ref_reduce_dynamic(f)[1].steps
+        assert RewriteTrace(steps) == trace and len(RewriteTrace(list(steps))) == n
+        assert list(trace) == list(steps)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,10 +11,13 @@ from plausikit import (And, Announce, Atom, Bot, CondBelief, Fragment, GtBox,
                        ResourceLimitError, SafeBelief, Top, Upgrade,
                        enumerate_formulas, format_formula, formula_depth,
                        fragment_of, parse, reduce_dynamic, translate_gt)
-from plausikit.syntax import MAX_PRINTED
+from plausikit import syntax
+from plausikit.syntax import MAX_PRINTED, Printer, formula_size, has_dynamic
 
+import helpers
 from helpers import (all_fragments, formulas, ref_enumerate_formulas,
-                     ref_format_formula, ref_parse)
+                     ref_format_formula, ref_format_recursive,
+                     ref_parse, shared_graphs)
 
 
 class TestParse:
@@ -140,7 +145,74 @@ class TestFormat:
 @settings(max_examples=500, deadline=None)
 @given(formulas(max_depth=5))
 def test_format_matches_the_recursive_printer(f):
-    assert format_formula(f) == ref_format_formula(f)
+    assert format_formula(f) == ref_format_recursive(f)
+
+
+def _printed(printer, f):
+    try:
+        return printer(f)
+    except ResourceLimitError as err:
+        return "over the budget", err.cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(formulas(max_depth=5), min_size=1, max_size=3),
+                 shared_graphs()),
+       st.integers(1, 3000))
+def test_printer_matches_the_one_call_printer(fs, budget):
+    """The same text, or ResourceLimitError at the same budget, on trees and
+    on shared graphs, from ``format_formula`` and from one ``Printer``
+    across the list, as ``rewrite --trace`` uses it."""
+    printer = Printer()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(syntax, "MAX_PRINTED", budget)
+        patch.setattr(helpers, "MAX_PRINTED", budget)
+        for f in fs:
+            want = _printed(ref_format_formula, f)
+            assert _printed(format_formula, f) == want
+            assert _printed(printer, f) == want
+
+
+def test_printer_lays_out_each_distinct_node_once(monkeypatch):
+    """A graph of 33 nodes that doubles at each of 16 levels prints 2^16
+    copies of p.  One printer lays out each node once, across its calls."""
+    f = Atom("p")
+    for _ in range(16):
+        f = And(f, Not(f))
+    laid_out = []
+    layout = syntax._layout
+    monkeypatch.setattr(syntax, "_layout",
+                        lambda g: laid_out.append(g) or layout(g))
+    printer = Printer()
+    text = printer(f)
+    assert text.count("p") == 2**16 and len(laid_out) == 33
+    assert text == ref_format_formula(f)
+    assert printer(Not(f)) == "~(" + text + ")" and len(laid_out) == 34
+
+
+def test_equal_shared_graphs_compare_in_linear_time():
+    """Two separately built translations of 30 nested conditions are equal
+    graphs of a few hundred nodes, whose trees have about 2^30 nodes.  The
+    comparison remembers the pairs it has checked, so it is fast."""
+    text = "B[a | " * 30 + "p" + "] q" * 30
+    a, b = translate_gt(parse(text)), translate_gt(parse(text))
+    assert a is not b
+    start = time.perf_counter()
+    assert a == b
+    assert not a != b
+    assert time.perf_counter() - start < 1.0
+    assert translate_gt(parse(text.replace("p", "r", 1))) != a
+
+
+def test_size_and_depth_of_a_shared_graph():
+    f = Atom("p")
+    for _ in range(300):
+        f = And(f, f)
+    assert formula_size(f) == 2**301 - 1
+    assert formula_depth(f) == 300
+    assert not has_dynamic(f) and fragment_of(f) == Fragment.of()
+    assert has_dynamic(And(f, Announce(f, f)))
+    assert fragment_of(Know("a", And(f, GtBox("b", f)))) == Fragment.of("K", "Gt")
 
 
 @settings(max_examples=300, deadline=None)
