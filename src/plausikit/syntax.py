@@ -536,12 +536,14 @@ class Printer:
         self._texts = {}  # id -> text, for nodes reached more than once
 
     def __call__(self, f: Formula) -> str:
-        pieces = self._count(f)
-        if pieces > MAX_PRINTED:
-            raise ResourceLimitError(
-                f"the formula prints as more than {MAX_PRINTED} pieces",
-                MAX_PRINTED)
-        return self._write(f)
+        text = self._texts.get(id(f))
+        if text is None:  # a stored text was in a rendering within budget
+            if self._count(f) > MAX_PRINTED:
+                raise ResourceLimitError(
+                    f"the formula prints as more than {MAX_PRINTED} pieces",
+                    MAX_PRINTED)
+            text = self._write(f)
+        return text
 
     def _count(self, f) -> int:
         """The piece count of f; records every node of f not seen before."""
