@@ -527,9 +527,9 @@ class Printer:
     ResourceLimitError if there are more than ``MAX_PRINTED``.  It then
     writes the text with its own stack of what is still to write, so the
     depth of f is not bounded by Python's recursion.  A subformula that
-    recurs, within one formula or across the calls of one printer, is
-    written once.  The printer holds on to every formula it printed; make
-    one per run."""
+    recurs within one formula is written once; one that recurs across the
+    calls of one printer is written at most twice.  The printer holds on
+    to every formula it printed; make one per run."""
 
     def __init__(self):
         self._known = {}  # id -> [node, layout, pieces or 0, references]
