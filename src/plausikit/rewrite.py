@@ -12,8 +12,8 @@ The pass memoises normal forms by value for the length of one call, so
 each distinct redex is contracted once and the output is a shared graph;
 the trace is kept as memo segments and written out when it is read.
 ``replay`` audits a recorded run by running the pass again.  A trace may
-have at most ``MAX_STEPS`` steps, and the pass stops as soon as its count
-passes that.  ``translate_gt`` and ``translate_safe`` run the same pass
+have at most ``MAX_STEPS`` steps, and the pass stops at the first node it
+finishes with its count past that.  ``translate_gt`` and ``translate_safe`` run the same pass
 with conditional belief as the redex and its one-node unfolding as the
 contraction.
 
@@ -226,9 +226,10 @@ def _normalise(f: Formula, kind, contract):
     after)`` for a contraction at the node, and ``(None, entry)`` for the
     steps that normalise a result in its place.  The pass keeps an
     explicit stack, so the depth of f is not bounded by Python's recursion.
-    It counts the steps of the trace as it goes, memo hits included, and a
-    trace of more than ``MAX_STEPS`` steps raises ``ResourceLimitError`` as
-    soon as the count passes it."""
+    It counts the steps of the trace as it goes, memo hits included, and
+    checks the count each time it finishes a node, the root included: a
+    trace of more than ``MAX_STEPS`` steps raises ``ResourceLimitError`` at
+    the first node finished with the count past it."""
     memo = {}
     steps = 0  # steps of the trace up to the node in hand
     # A frame: a node, the entries of its children so far and then of its
@@ -275,6 +276,11 @@ def _normalise(f: Formula, kind, contract):
                         steps += redex[2]
                 elif known:
                     red = known[0]  # the one object of that normal form
+            # Every step is counted by here before its frame is done, the
+            # root's included, so no trace past the budget is returned.
+            if steps > MAX_STEPS:
+                raise ResourceLimitError(
+                    f"rewriting takes more than {MAX_STEPS} steps", MAX_STEPS)
             if frame[2] is contracted:  # nothing is left to normalise
                 count = 0
                 for e in kids:
@@ -297,9 +303,6 @@ def _normalise(f: Formula, kind, contract):
                 if not stack:
                     return entry[0], RewriteTrace._of(entry)
                 stack[-1][1].append(entry)
-        if steps > MAX_STEPS:
-            raise ResourceLimitError(
-                f"rewriting takes more than {MAX_STEPS} steps", MAX_STEPS)
 
 
 def reduce_dynamic(f: Formula):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from plausikit import (And, Announce, Atom, CondBelief, Fragment, GenSpec,
                        InputError, Know, Not, ResourceLimitError, RewriteTrace,
-                       formula_depth, fragment_of,
+                       Upgrade, formula_depth, fragment_of,
                        generate, has_dynamic, holds, is_valid_on, parse,
                        random_formula, reduce_dynamic, replay,
                        rewrite_measure, translate_gt, translate_safe,
@@ -137,6 +137,36 @@ class TestSharing:
                 reduce_dynamic(parse("[! p] " * k + "q"))
             assert err.value.cap == rewrite.MAX_STEPS == 2**15
             assert len(contractions) <= 50
+
+    def test_a_repeated_redex_at_the_root_counts_against_the_budget(self):
+        # [up s] phi takes one step per node of phi and gives phi back, so
+        # the outer upgrade rebuilds to the inner redex: a memo hit at the
+        # root that doubles the trace.
+        phi = "(" + " & ".join(["p"] * (2**13 + 1)) + ")"  # 2^14 + 1 nodes
+        _, trace = reduce_dynamic(parse("[up s] " + phi))
+        assert len(trace) == 2**14 + 1
+        with pytest.raises(ResourceLimitError) as err:
+            reduce_dynamic(parse("[up s] [up s] " + phi))
+        assert err.value.cap == rewrite.MAX_STEPS == 2**15
+
+    def test_the_budget_refuses_exactly_the_longer_traces(self, monkeypatch):
+        rng = random.Random(5)
+        formulas = [parse("[up q] [up q] q")]
+        for frag in (Fragment.of("Ann", "Up"), Fragment.of("K", "Bc", "Ann", "Up")):
+            for _ in range(150):
+                f = random_formula(rng, ["p", "q"], ["a"], frag, 3)
+                # An upgrade leaves a Boolean formula as it is, so the root
+                # of the second is often a redex met before.
+                formulas += [f, Upgrade(f, Upgrade(f, f))]
+        for f in formulas:
+            monkeypatch.setattr(rewrite, "MAX_STEPS", 2**15)
+            n = len(reduce_dynamic(f)[1])
+            monkeypatch.setattr(rewrite, "MAX_STEPS", n)
+            assert len(reduce_dynamic(f)[1]) == n
+            if n:
+                monkeypatch.setattr(rewrite, "MAX_STEPS", n - 1)
+                with pytest.raises(ResourceLimitError):
+                    reduce_dynamic(f)
 
     def test_equal_redexes_share_one_normal_form(self, contractions):
         f = parse("[up p] [! q] B[a | r] p")
