@@ -509,8 +509,9 @@ def parse(text: str) -> Formula:
 
 # Pieces of text one rendering may write.  A formula is a shared graph but is
 # printed as a tree, which can be exponentially larger: translate_gt of k
-# nested conditions B[a | ...] prints about 25 * 2^k characters.  The count
-# comes before the text, so a formula over the budget costs no writing;
+# nested conditions B[a | ...] prints about 25 * 2^k characters.  The text
+# of a recurring subformula is kept and counts as the pieces it holds, so a
+# formula over the budget is refused after a few copies of kept texts;
 # [! p]^14 q, reduced, prints in about 49,000 pieces.
 MAX_PRINTED = 2**20
 
@@ -519,89 +520,90 @@ class Printer:
     """Canonical rendering of formulas that shares its work across calls.
 
     A node's text does not depend on where it stands: its parent adds the
-    parentheses a binary operand needs.  So a printer keeps, per distinct
-    node (told apart by identity), the node's layout (its pieces of text
-    and its subformulas, in order) and its piece count, and the text of
-    every node it has reached more than once.  ``printer(f)`` first counts
-    the pieces of f over the graph, without writing any text, and raises
-    ResourceLimitError if there are more than ``MAX_PRINTED``.  It then
-    writes the text with its own stack of what is still to write, so the
-    depth of f is not bounded by Python's recursion.  A subformula that
-    recurs within one formula is written once; one that recurs across the
-    calls of one printer is written at most twice.  The printer holds on
-    to every formula it printed; make one per run."""
+    parentheses a binary operand needs.  So a printer lays out each
+    distinct node (told apart by identity) once, as its pieces of text and
+    its subformulas in order.  ``printer(f)`` writes f in one pass, with
+    its own stack of what is still to write, so the depth of f is not
+    bounded by Python's recursion, and notes where each node's text starts
+    and ends in its pieces.  A node met again in the same call is joined
+    from there once and its text kept, so a subformula that recurs within
+    one formula is written once.  The outermost node met again from an
+    earlier call is written once more, and its text kept.  A rendering of
+    more than ``MAX_PRINTED`` pieces (a kept text counts as the pieces it
+    holds) raises ResourceLimitError, after at most about twice that many
+    are written.  The printer holds on to every formula it printed; make
+    one per run."""
 
     def __init__(self):
-        self._known = {}  # id -> [node, layout, pieces or 0, references]
-        self._texts = {}  # id -> text, for nodes reached more than once
+        # id -> [node, layout, call, first piece, pieces, end]: the call
+        # that wrote the node (negative if an earlier one did too), and
+        # where its text is in that call's pieces and how many it counts.
+        self._known = {}
+        self._texts = {}  # id -> (text, pieces), for leaves and nodes met again
+        self._calls = 0
 
     def __call__(self, f: Formula) -> str:
-        text = self._texts.get(id(f))
-        if text is None:  # a stored text was in a rendering within budget
-            if self._count(f) > MAX_PRINTED:
-                raise ResourceLimitError(
-                    f"the formula prints as more than {MAX_PRINTED} pieces",
-                    MAX_PRINTED)
-            text = self._write(f)
-        return text
-
-    def _count(self, f) -> int:
-        """The piece count of f; records every node of f not seen before."""
-        known = self._known
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            record = known.get(id(g))
-            if record is None:  # first reached: lay it out, then its parts
-                record = known[id(g)] = [g, _layout(g), 0, 0]
-                subs = [x for x in record[1]
-                        if type(x) is not str and id(x) not in known]
-                if subs:
-                    stack.append(g)
-                    stack += subs
-                    continue
-            elif record[2]:  # counted already
-                continue
-            pieces = 0
-            for x in record[1]:
-                if type(x) is str:
-                    pieces += 1
-                else:
-                    sub = known[id(x)]
-                    sub[3] += 1
-                    pieces += sub[2]
-            record[2] = pieces
-        root = known[id(f)]
-        root[3] += 1
-        return root[2]
-
-    def _write(self, f) -> str:
         known, texts = self._known, self._texts
-        bufs = [[]]
+        stored = texts.get(id(f))
+        if stored is not None and stored[1] <= MAX_PRINTED:
+            return stored[0]
+        if not isinstance(f, Formula):
+            raise TypeError(f"not a formula: {f!r}")
+        call = self._calls = self._calls + 1
+        out = []
+        extra = 0  # pieces in the kept texts of out, beyond one each
+        keeping = False  # inside a node whose text is to be kept
         todo = [f]
+        write, pop = out.append, todo.pop
         while todo:
-            x = todo.pop()
+            x = pop()
             if type(x) is str:
-                bufs[-1].append(x)
-            elif type(x) is int:  # the end of a recurring node's text
-                text = texts[x] = "".join(bufs.pop())
-                bufs[-1].append(text)
-            elif id(x) in texts:
-                bufs[-1].append(texts[id(x)])
+                write(x)
+                continue
+            if type(x) is list:  # the end of the text of node x[0]
+                x[4] = len(out) + extra - x[4]
+                if x[2] == call:
+                    x[5] = len(out)
+                else:  # written in an earlier call too: keep its text
+                    texts[id(x[0])] = ("".join(out[x[3]:]), x[4])
+                    keeping = False
+                continue
+            stored = texts.get(id(x))
+            if stored is None:
+                record = known.get(id(x))
+                if record is None:
+                    record = known[id(x)] = [x, _layout(x), 0, 0, 0, 0]
+                    if not x._parts:  # a leaf is one piece
+                        stored = texts[id(x)] = (record[1][0], 1)
+                elif record[2] == call:  # written before in this call
+                    stored = texts[id(x)] = (
+                        "".join(out[record[3]:record[5]]), record[4])
+            if stored is None:
+                if record[2] == 0 or keeping:
+                    record[2] = call
+                else:  # the outermost node written in an earlier call too
+                    record[2] = -call
+                    keeping = True
+                record[3:5] = len(out), len(out) + extra
+                todo.append(record)
+                todo.extend(reversed(record[1]))
             else:
-                _, layout, _, references = known[id(x)]
-                if references > 1:
-                    bufs.append([])
-                    todo.append(id(x))
-                todo.extend(reversed(layout))
-        return "".join(bufs[0])
+                write(stored[0])
+                extra += stored[1] - 1
+                if len(out) + extra > MAX_PRINTED:
+                    break
+        if len(out) + extra > MAX_PRINTED:
+            raise ResourceLimitError(
+                f"the formula prints as more than {MAX_PRINTED} pieces",
+                MAX_PRINTED)
+        return "".join(out)
 
 
 def format_formula(f: Formula) -> str:
     """Deterministic canonical rendering; parse(format_formula(f)) == f.
 
     A rendering of more than ``MAX_PRINTED`` pieces raises
-    ResourceLimitError before any text is written; see ``Printer``."""
+    ResourceLimitError; see ``Printer``."""
     return Printer()(f)
 
 
