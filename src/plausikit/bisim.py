@@ -380,9 +380,6 @@ class PairFamily:
     def __len__(self):
         return len(self.pairs)
 
-    def index(self) -> dict:
-        return {pair: k for k, pair in enumerate(self.pairs)}
-
     def formula(self, k: int) -> Formula:
         """The disjunction of the formulas of the blocks in pairs[k]."""
         return _disj(self.blocks, k)

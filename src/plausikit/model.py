@@ -235,9 +235,9 @@ class Index:
     in sorted order; ``live`` is the set of states present.  ``rows(a)[x]``
     is the set of states agent a relates to x, and ``order(a, w)`` the
     preorder a holds at state w.  A model's index gets them at construction;
-    a view derives them from the parent's masks on first use.
-    :meth:`groups` and :meth:`best`, read through :func:`box`, are the
-    truth-set transformers of every modality.
+    a view derives its targets and beliefs from its parent's, and only
+    :meth:`to_model` builds its orders.  :meth:`groups` and :meth:`best`,
+    read through :func:`box`, are the truth-set transformers of every modality.
     """
 
     __slots__ = ("states", "agents", "pos", "live", "_atoms", "_rows", "_orders",
@@ -247,11 +247,11 @@ class Index:
                  orders: dict, atoms: dict, parent: "Index | None" = None,
                  zone: int = -1, upgrade: bool = False):
         self.states, self.agents, self.pos, self._atoms = states, agents, pos, atoms
-        # By agent, and by (agent, position); a view fills them on first use.
+        # By agent, and by (agent, position); a view fills only its rows.
         self._rows, self._orders = rows, orders
         self.live = parent.live if upgrade else zone & (1 << len(states)) - 1
         self._parent, self._zone, self._upgrade = parent, zone, upgrade
-        # derived orders (by the parent's order), targets, groups, classes
+        # targets, groups and classes
         self._memo: dict = {}
         self._sets: dict = {}   # mask -> frozenset of names
 
@@ -289,27 +289,9 @@ class Index:
 
     def order(self, agent: str, w: int) -> _Order:
         got = self._orders.get((agent, w))
-        if got is not None:
-            return got
-        if self._parent is None:
+        if got is None:
             raise InputError(f"no plausibility order for ({agent!r}, "
                              f"{self.states[w]!r})")
-        rel = self._parent.order(agent, w)
-        got = self._memo.get(rel)
-        if got is None:
-            live, win = self.live, self._zone
-            if not self._upgrade:
-                got = _Order([b & live for b in rel.below],
-                             [a & live for a in rel.above])
-            else:
-                # Every winner becomes strictly more plausible than every
-                # other live state; the order inside each zone stays.
-                got = _Order([b & win if win >> y & 1 else b | win
-                              for y, b in enumerate(rel.below)],
-                             [a & win | live & ~win if win >> x & 1 else a & ~win
-                              for x, a in enumerate(rel.above)])
-            self._memo[rel] = got
-        self._orders[(agent, w)] = got
         return got
 
     def announced(self, keep: int) -> "Index":
@@ -327,6 +309,23 @@ class Index:
         renumbered in order, and each order of the index gives one order."""
         live = list(bits(self.live))
         new = {i: 1 << k for k, i in enumerate(live)}
+        made: dict = {}     # parent's order -> the view's order derived from it
+
+        def order(ix, a, w):
+            if ix._parent is None:
+                return ix.order(a, w)
+            rel, on, win = order(ix._parent, a, w), ix.live, ix._zone
+            got = made.get(rel)
+            if got is None and not ix._upgrade:
+                got = _Order([b & on for b in rel.below], [x & on for x in rel.above])
+            elif got is None:
+                # Every winner becomes strictly more plausible than every
+                # other live state; the order inside each zone stays.
+                got = _Order([b & win if win >> y & 1 else b | win for y, b in enumerate(rel.below)],
+                             [x & win | on & ~win if win >> v & 1 else x & ~win
+                              for v, x in enumerate(rel.above)])
+            made[rel] = got
+            return got
 
         def cut(rows):
             if len(live) == len(rows):
@@ -336,7 +335,7 @@ class Index:
         names, cuts = tuple(self.states[i] for i in live), {}
         rows = {a: cut(self.rows(a)) for a in self.agents}
         orders = {(a, k): cuts.get(o) or cuts.setdefault(o, _Order(cut(o.below), cut(o.above)))
-                  for a in self.agents for k, o in enumerate(self.order(a, w) for w in live)}
+                  for a in self.agents for k, o in enumerate(order(self, a, w) for w in live)}
         return Model.__new__(Model)._fill(
             names, {s: k for k, s in enumerate(names)}, self.agents, rows, orders,
             ({}, {}), {p: self.names(x & self.live) for p, x in self._atoms.items()})
@@ -344,13 +343,22 @@ class Index:
     def targets(self, kind: str, agent: str) -> list:
         """Per state w, the states the K, Bplus or Gt box at w looks at: the
         class of w, its part at least as plausible as w, or its part
-        strictly more plausible than w."""
+        strictly more plausible than w.  A view cuts its parent's to its live
+        states; an upgrade's winners cut a winner's and join a loser's."""
         def make():
-            got = list(self.rows(agent))
-            for w in bits(self.live) if kind != "K" else ():
-                o = self.order(agent, w)
-                got[w] &= o.below[w] & (~o.above[w] if kind == "Gt" else -1)
-            return got
+            up, live, win = self._parent, self.live, self._zone
+            if up is None:
+                got = list(self.rows(agent))
+                for w in bits(live) if kind != "K" else ():
+                    o = self.order(agent, w)
+                    got[w] &= o.below[w] & (~o.above[w] if kind == "Gt" else -1)
+                return got
+            got = up.targets(kind, agent)
+            if not self._upgrade:
+                return [t & live for t in got]
+            rows = up.rows(agent)
+            return got if kind == "K" else [t & win if win >> w & 1 else t | rows[w] & win
+                                            for w, t in enumerate(got)]
         return self._memoised(("targets", kind, agent), make)
 
     def _memoised(self, key, make):
@@ -373,23 +381,40 @@ class Index:
             self.targets(kind, agent).__getitem__))
 
     def classes(self, agent: str) -> list:
-        """((class, order), states) pairs: live states grouped by their
-        epistemic class and the order they hold."""
+        """((class, order), states) pairs: the states of a model grouped by
+        their epistemic class and the order they hold."""
         return self._memoised(("classes", agent), lambda: self._grouped(
             lambda w: (self.rows(agent)[w], self.order(agent, w))))
 
     def best(self, agent: str, cond: int) -> list:
         """(most plausible cond-states of the class, states) pairs, for
-        conditional belief."""
-        return [(self.least(o, cond & row), ws)
-                for (row, o), ws in self.classes(agent)]
+        conditional belief, over the model's :meth:`classes` cut to the live
+        states.  Each upgrade on the way down to the model keeps only the
+        winners of a set that holds some."""
+        ups, ix, live = [], self, self.live
+        while ix._parent is not None:
+            if ix._upgrade:
+                ups.append(ix._zone)
+            ix = ix._parent
+        least, got, cond = self.least, [], cond & live
+        for (row, o), ws in ix.classes(agent):
+            xs = cond & row
+            for win in ups:
+                xs = xs & win or xs
+            got.append((least(o, xs), ws & live))
+        return got
 
     @staticmethod
     def least(o: _Order, xs: int) -> int:
-        """The members of xs that no member of xs strictly beats under o."""
-        worse = 0
-        for y in bits(xs):
+        """The members of xs that no member of xs strictly beats under o, a
+        preorder as :func:`validate` checks.  A member that one scanned before
+        beats is skipped: by transitivity, its beater beats what it beats."""
+        rest, worse = xs, 0
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
             worse |= o.above[y] & ~o.below[y]
+            rest &= ~(worse | low)
         return xs & ~worse
 
 
@@ -513,7 +538,9 @@ def min_set(m: Model, agent: str, state: str, xs: Iterable[str]) -> frozenset:
 
     An element x of xs is minimal when every y in xs that is at least as
     plausible as x is matched back (x is at least as plausible as y).  On a
-    finite model this is nonempty whenever xs is.
+    finite model this is nonempty whenever xs is.  The order must be a
+    preorder, as :func:`validate` checks: on a relation that is not
+    transitive, :meth:`Index.least` may keep a member that another beats.
     """
     ix = m.index
     order = ix.order(agent, ix.at(state))

@@ -4,8 +4,9 @@ Truth sets are computed bottom-up as bitmasks over the model's
 :class:`~plausikit.model.Index`, which is built once per model and holds the
 epistemic classes and plausibility orders as masks.  Dynamic operators do
 not build models: an announcement is a view of the index with fewer live
-states and an upgrade is a view with re-ranked orders.  The masks of
-subformulas and the views are memoized within one evaluation session.
+states and an upgrade a view with a winning zone.  A view derives its box
+targets and most plausible states from its parent's and builds no orders.
+The masks of subformulas and the views are memoized within one session.
 Those caches live inside an :class:`Evaluator` instance and are never shared
 between calls unless the caller shares the evaluator; what the index itself
 memoizes depends on the model alone, so the module is safe under concurrent

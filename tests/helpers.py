@@ -11,6 +11,10 @@ property checks that read index rows, ``ref_reduce_dynamic`` for
 the bisimulation procedures that now read the partition-refinement engine.
 ``ref_definable_pairs`` computes the definable-pair family by closure, apart
 from the refined blocks that ``definable_pairs`` reads it off.
+``ref_least`` is the per-member scan that ``Index.least`` once was, and
+``ref_view_order`` derives the order of an announcement or upgrade view
+from its parent's, as views once did before they read their targets and
+beliefs off the parent.
 ``ref_model_to_json`` is the whole-document ``json.dumps`` that
 ``model_to_json`` once was, ``ref_format_recursive`` the recursive printer
 that ``format_formula`` once was, and ``ref_format_formula`` its later
@@ -681,8 +685,8 @@ def ref_check_bc(rel: Relation, fragment: Fragment, cap: int = 4096) -> CheckRes
             l_row, r_row = li.rows(agent)[wi], ri.rows(agent)[vi]
             l_ord, r_ord = li.order(agent, wi), ri.order(agent, vi)
             for k, (lc, rc) in enumerate(conds):
-                miss = _ref_unmatched(li.least(l_ord, lc & l_row),
-                                      ri.least(r_ord, rc & r_row), l_img, r_img)
+                miss = _ref_unmatched(ref_least(l_ord, lc & l_row),
+                                      ref_least(r_ord, rc & r_row), l_img, r_img)
                 if miss:
                     side, x = miss
                     names = li.states if side == "zig" else ri.states
@@ -750,6 +754,35 @@ def ref_upgrade(m: Model, up) -> Model:
          for key, rel in m.plaus.items()},
         m.valuation,
     )
+
+
+def ref_least(o, xs: int) -> int:
+    """The members of xs that no member of xs strictly beats under o, by
+    the scan of every member that ``Index.least`` once made."""
+    worse = 0
+    for y in bits(xs):
+        worse |= o.above[y] & ~o.below[y]
+    return xs & ~worse
+
+
+def ref_view_order(ix, agent: str, w: int):
+    """The order agent holds at position w of the index or view ix, as
+    (below, above) rows, derived view by view from the model's order the
+    way views once derived their own orders."""
+    if ix._parent is None:
+        o = ix.order(agent, w)
+        return SimpleNamespace(below=list(o.below), above=list(o.above))
+    rel = ref_view_order(ix._parent, agent, w)
+    live, win = ix.live, ix._zone
+    if not ix._upgrade:
+        return SimpleNamespace(below=[b & live for b in rel.below],
+                               above=[a & live for a in rel.above])
+    # Every winner becomes strictly more plausible than every other live
+    # state; the order inside each zone stays.
+    return SimpleNamespace(
+        below=[b & win if win >> y & 1 else b | win for y, b in enumerate(rel.below)],
+        above=[a & win | live & ~win if win >> x & 1 else a & ~win
+               for x, a in enumerate(rel.above)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ from plausikit import (InputError, Model, eq_class, identity_pairs,
                        model_to_json, parse, save_model, strict, total_pairs,
                        truth_set, uniformity_counterexample, validate)
 
+from plausikit.model import Index, bits, box
+
 from helpers import (DISCRETE2, TOTAL2, broken_docs, broken_models, models,
-                     pairs_read, ref_connectedness_counterexample, repeated_docs,
+                     pairs_read, ref_connectedness_counterexample, ref_least,
                      ref_model_to_json, ref_uniformity_counterexample,
-                     ref_validate, two_state)
+                     ref_validate, ref_view_order, repeated_docs, two_state)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -418,20 +420,64 @@ def test_malformed_pair_reported_with_its_place(pairs, bad):
 def test_targets_equal_the_targets_read_off_the_pairs(seed):
     """The Bplus and Gt targets of the index are the class-mates at least
     as plausible, or strictly more plausible, read straight off the pairs
-    of ``epist`` and ``plaus``."""
+    of ``epist`` and ``plaus``.  So are those of an announcement or upgrade
+    view at its live states, off the pairs of the model it shows."""
     from plausikit import GenSpec, generate
     m = generate(GenSpec(2, 12, 2, 2, seed=seed))
     ix = m.index
-    for a in m.agents:
-        for kind in ("Bplus", "Gt"):
-            expected = []
-            for w in m.states:
-                order = m.plaus[(a, w)]
-                expected.append(sum(
-                    1 << ix.pos[v] for v in m.states
-                    if (w, v) in m.epist[a] and (v, w) in order
-                    and (kind == "Bplus" or (w, v) not in order)))
-            assert ix.targets(kind, a) == expected, (kind, a)
+    p, q = ix.atom("p"), ix.atom("q")
+    views = [ix.upgraded(p), ix.announced(q or ix.live),
+             ix.announced(ix.live & ~p or ix.live).upgraded(q),
+             ix.upgraded(q).announced(p or ix.live).upgraded(q & ~p)]
+    for view, shown in [(ix, m)] + [(v, v.to_model()) for v in views]:
+        for a in m.agents:
+            for kind in ("Bplus", "Gt"):
+                expected = []
+                for w in shown.states:
+                    order = shown.plaus[(a, w)]
+                    expected.append(sum(
+                        1 << ix.pos[v] for v in shown.states
+                        if (w, v) in shown.epist[a] and (v, w) in order
+                        and (kind == "Bplus" or (w, v) not in order)))
+                got = view.targets(kind, a)
+                assert [got[w] for w in bits(view.live)] == expected, (kind, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_views_agree_with_the_orders_derived_view_by_view(data):
+    """Along chains of one to three announcements and upgrades, each view's
+    targets at its live states, and its conditional-belief boxes, are those
+    read off the orders that ``ref_view_order`` derives from the parent's."""
+    m = data.draw(models(max_states=5))
+    ix = root = m.index
+    masks = st.integers(0, (1 << len(m.states)) - 1)
+    for upgrade in data.draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        zone = data.draw(masks) & ix.live
+        ix = ix.upgraded(zone) if upgrade else ix.announced(zone or ix.live)
+        live = ix.live
+        for a in m.agents:
+            rows = [row & live for row in root.rows(a)]
+            orders = {w: ref_view_order(ix, a, w) for w in bits(live)}
+            for kind in ("K", "Bplus", "Gt"):
+                got = ix.targets(kind, a)
+                for w, o in orders.items():
+                    want = rows[w] & (o.below[w] if kind != "K" else -1)
+                    assert got[w] == want & (~o.above[w] if kind == "Gt" else -1)
+            for _ in range(3):
+                cond, sub = data.draw(masks) & live, data.draw(masks) & live
+                assert box(ix.best(a, cond), sub) == sum(
+                    1 << w for w, o in orders.items()
+                    if not ref_least(o, cond & rows[w]) & ~sub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models(max_states=5))
+def test_least_agrees_with_the_scan_of_every_member(m):
+    ix = m.index
+    for o in set(ix._orders.values()):
+        for xs in range(1 << len(m.states)):
+            assert Index.least(o, xs) == ref_least(o, xs)
 
 
 # ---------------------------------------------------------------------------

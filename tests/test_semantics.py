@@ -138,6 +138,34 @@ def test_transformed_models_are_memoized_per_announced_formula():
     assert len(ev._announced) == 1
 
 
+def test_views_build_no_orders(monkeypatch):
+    """An announcement or upgrade view reads its targets and beliefs off its
+    parent: evaluating through it builds no order.  Materialising the view
+    as a model still does."""
+    import plausikit.model as model
+    from plausikit import GenSpec, generate, upgrade
+    m = generate(GenSpec(12, 12, 2, 3, seed=3))
+    assert 0 < len(m.valuation["p"]) < len(m.states)
+    queries = [parse("[up p] (B[a | q] r & Gt[a] p & Bplus[b] q)"),
+               parse("[! p] B[a | q] r")]
+    # The reference evaluator builds models, so it runs before the count.
+    want = [{w for w in m.states if ref_holds(m, w, f)} for f in queries]
+    built = []
+
+    class Counted(model._Order):
+        __slots__ = ()
+
+        def __init__(self, below, above):
+            built.append(self)
+            super().__init__(below, above)
+
+    monkeypatch.setattr(model, "_Order", Counted)
+    assert [truth_set(m, f) for f in queries] == want
+    assert built == []
+    upgrade(m, parse("p"))
+    assert built
+
+
 def test_one_evaluator_over_many_short_lived_models():
     # Models are built and dropped one after another, so a cache keyed on
     # object ids would hand a new model the truth sets of a dead one.
