@@ -4,7 +4,9 @@ formula sampling for the property suites.
 Plausibility orders come from preference rankings with ties: a ranking over
 the states induces a total preorder, and intersecting two rankings gives a
 general (possibly partial) preorder.  Both constructions are reflexive and
-transitive by construction, so no rejection sampling is needed.  Setting
+transitive by construction, so no rejection sampling is needed.  A
+ranking's rows are unions of its rank buckets, O(n) masks, and the model is
+handed its rows and orders as masks, with no pairs of names.  Setting
 ``uniform`` shares one order across each epistemic class; setting
 ``locally_connected`` (or ``total_preorders``) uses a single ranking so any
 two states are comparable; ``discrete_preorders`` uses the identity order
@@ -18,7 +20,7 @@ import string
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .model import Model, identity_pairs, read_json
+from .model import Model, _Order, bits, read_json
 from .syntax import (_KIND_OF_NODE, _NODE_OF_KIND, And, Atom, Bot, Formula,
                      Fragment, Implies, Not, Or, Top)
 
@@ -34,8 +36,9 @@ MAX_STATES = 100
 @dataclass(frozen=True)
 class GenSpec:
     """What :func:`generate` draws.  ``max_states`` is at most
-    :data:`MAX_STATES`, else ResourceLimitError: orders are built pair by
-    pair, and a 100-state, 2-agent model is already a 41 MB file."""
+    :data:`MAX_STATES`, else ResourceLimitError: a model file lists every
+    pair of every order, and a 100-state, 2-agent model is already a 41 MB
+    file."""
 
     min_states: int = 1
     max_states: int = 4
@@ -104,16 +107,39 @@ def load_genspec(path) -> GenSpec:
     return genspec_from_dict(read_json(path))
 
 
-def _ranking_preorder(rng: random.Random, states) -> frozenset:
-    rank = {s: rng.randrange(len(states)) for s in states}
-    return frozenset((x, y) for x in states for y in states if rank[x] <= rank[y])
+def _buckets(labels: list, bit: list, k: int) -> list:
+    """Per label below k, the mask of the states drawn with it."""
+    out = [0] * k
+    for label, b in zip(labels, bit):
+        out[label] |= b
+    return out
 
 
-def _random_preorder(rng: random.Random, states, total: bool) -> frozenset:
-    first = _ranking_preorder(rng, states)
+def _ranking(rng: random.Random, bit: list) -> tuple:
+    """The (above, below) rows of the total preorder of one random ranking
+    with ties, by position: a state is at least as plausible as the states
+    ranked no better.  ``bit`` gives each state's bit, in draw order."""
+    n = len(bit)
+    rank = [rng.randrange(n) for _ in bit]
+    le, ge = _buckets(rank, bit, n), _buckets(rank, bit, n)
+    # Prefix and suffix unions: the states ranked at most, at least r.
+    for r in range(1, n):
+        le[r] |= le[r - 1]
+        ge[n - 1 - r] |= ge[n - r]
+    above, below = [0] * n, [0] * n
+    for r, b in zip(rank, bit):
+        i = b.bit_length() - 1
+        above[i], below[i] = ge[r], le[r]
+    return above, below
+
+
+def _random_preorder(rng: random.Random, bit: list, total: bool) -> tuple:
+    above, below = _ranking(rng, bit)
     if total or rng.random() < 0.5:
-        return first
-    return first & _ranking_preorder(rng, states)
+        return above, below
+    more, less = _ranking(rng, bit)
+    return ([x & y for x, y in zip(above, more)],
+            [x & y for x, y in zip(below, less)])
 
 
 def generate(spec: GenSpec) -> Model:
@@ -121,47 +147,49 @@ def generate(spec: GenSpec) -> Model:
     rng = random.Random(spec.seed)
     n = rng.randint(spec.min_states, spec.max_states)
     states = [f"w{i}" for i in range(n)]
-    agents = list(string.ascii_lowercase[:spec.agents])
+    names = tuple(sorted(states))
+    pos = {s: i for i, s in enumerate(names)}
+    bit = [1 << pos[s] for s in states]  # in draw order, not sorted order
+    agents = tuple(string.ascii_lowercase[:spec.agents])
     atom_names = [string.ascii_lowercase[15 + i % 11] + ("" if i < 11 else str(i // 11))
                   for i in range(spec.atoms)]
 
     singleton_classes = spec.discrete_preorders and spec.locally_connected
     total = spec.total_preorders or spec.locally_connected
 
-    epist = {}
-    classes = {}
+    rows, classes = {}, {}
     for a in agents:
         if singleton_classes:
-            blocks = [[s] for s in states]
+            blocks = bit
         else:
             k = rng.randint(1, n)
-            label = {s: rng.randrange(k) for s in states}
-            blocks = [[s for s in states if label[s] == b] for b in range(k)]
-            blocks = [b for b in blocks if b]
+            blocks = [b for b in _buckets([rng.randrange(k) for _ in bit], bit, k) if b]
         classes[a] = blocks
-        epist[a] = frozenset(
-            (x, y) for block in blocks for x in block for y in block)
+        rows[a] = row = [0] * n
+        for block in blocks:
+            for w in bits(block):
+                row[w] = block
 
-    plaus = {}
+    # Equal orders share one _Order, as in a model built from pairs.
+    interned, orders = {}, {}
+    ident = [1 << i for i in range(n)]
     for a in agents:
-        if spec.discrete_preorders:
-            order = identity_pairs(states)
-            for w in states:
-                plaus[(a, w)] = order
-        elif spec.uniform:
-            for block in classes[a]:
-                order = _random_preorder(rng, states, total)
-                for w in block:
-                    plaus[(a, w)] = order
-        else:
-            for w in states:
-                plaus[(a, w)] = _random_preorder(rng, states, total)
+        # The states that hold one order: all of them, a class, or one state.
+        zones = ([(1 << n) - 1] if spec.discrete_preorders
+                 else classes[a] if spec.uniform else bit)
+        for zone in zones:
+            above, below = ((ident, ident) if spec.discrete_preorders
+                            else _random_preorder(rng, bit, total))
+            order = interned.setdefault(tuple(above), _Order(below, above))
+            for w in bits(zone):
+                orders[(a, w)] = order
 
     valuation = {
         p: frozenset(s for s in states if rng.random() < 0.5)
         for p in atom_names
     }
-    return Model(states, agents, epist, plaus, valuation)
+    return Model.__new__(Model)._fill(names, pos, agents, rows, orders,
+                                      ({}, {}), valuation)
 
 
 def rename_states(m: Model, prefix: str = "x") -> Model:

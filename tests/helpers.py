@@ -11,6 +11,10 @@ property checks that read index rows, ``ref_reduce_dynamic`` for
 the bisimulation procedures that now read the partition-refinement engine.
 ``ref_definable_pairs`` computes the definable-pair family by closure, apart
 from the refined blocks that ``definable_pairs`` reads it off.
+``RefEvaluator`` is the evaluator loop that ``Evaluator.mask`` once was,
+which visited each node twice and listed its operands through
+``children``, and ``ref_generate`` the generator that built every order as
+a set of name pairs.
 ``ref_least`` is the per-member scan that ``Index.least`` once was, and
 ``ref_view_order`` derives the order of an announcement or upgrade view
 from its parent's, as views once did before they read their targets and
@@ -28,21 +32,22 @@ from __future__ import annotations
 import json
 import random
 import re
+import string
 from itertools import combinations
 from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
 from plausikit import (And, Announce, Atom, Bot, CheckResult, CondBelief,
-                       Formula, Fragment, GtBox, Implies, Know, Model, Not, Or,
-                       Relation, RewriteStep, RewriteTrace, SafeBelief, Top,
-                       Upgrade, Violation, check_structural, definable_pairs,
-                       format_formula, model_to_dict)
+                       Formula, Fragment, GenSpec, GtBox, Implies, Know, Model,
+                       Not, Or, Relation, RewriteStep, RewriteTrace, SafeBelief,
+                       Top, Upgrade, Violation, check_structural,
+                       definable_pairs, format_formula, model_to_dict)
 from plausikit.errors import ResourceLimitError
 from plausikit.syntax import (_BINARY, _INFIX, _KIND_OF_NODE, _MODAL_HEADS,
                               MAX_PRINTED, OPERATOR_KINDS, ParseError, _lex,
                               gt_dia, khat)
-from plausikit.model import bits, box
+from plausikit.model import bits, box, identity_pairs
 from plausikit.rewrite import _contract
 from plausikit.syntax import children, rebuild
 
@@ -783,6 +788,139 @@ def ref_view_order(ix, agent: str, w: int):
         below=[b & win if win >> y & 1 else b | win for y, b in enumerate(rel.below)],
         above=[a & win | live & ~win if win >> x & 1 else a & ~win
                for x, a in enumerate(rel.above)])
+
+
+class RefEvaluator:
+    """The evaluation loop ``Evaluator`` once ran, as an oracle: each node
+    is stepped once to queue its missing operands and once more to combine
+    them, which are listed through ``children``."""
+
+    def __init__(self):
+        self._truth: dict = {}      # (index, formula) -> truth mask
+        self._announced: dict = {}  # (index, kept states) -> view
+        self._upgraded: dict = {}   # (index, winners) -> view
+
+    def mask(self, ix, f: Formula) -> int:
+        truth = self._truth
+        got = truth.get((ix, f))
+        if got is not None:
+            return got
+        todo = [(ix, f)]
+        while todo:
+            key = todo[-1]
+            if key in truth:
+                todo.pop()
+                continue
+            got = self._step(key[0], key[1], todo)
+            if got is not None:
+                truth[key] = got
+                todo.pop()
+        return truth[(ix, f)]
+
+    def _step(self, ix, f: Formula, todo: list):
+        truth = self._truth
+        kind = type(f)
+        if kind is Atom:
+            return ix.atom(f.name)
+        if kind is Top:
+            return ix.live
+        if kind is Bot:
+            return 0
+        if kind is Announce or kind is Upgrade:
+            pre = f.ann if kind is Announce else f.up
+            zone = truth.get((ix, pre))
+            if zone is None:
+                todo.append((ix, pre))
+                return None
+            if kind is Announce and not zone:
+                return ix.live  # vacuously true where the precondition fails
+            cache, make = ((self._announced, ix.announced) if kind is Announce
+                           else (self._upgraded, ix.upgraded))
+            view = cache.get((ix, zone))
+            if view is None:
+                view = cache[(ix, zone)] = make(zone)
+            after = truth.get((view, f.sub))
+            if after is None:
+                todo.append((view, f.sub))
+                return None
+            return (ix.live & ~zone) | after if kind is Announce else after
+        kids = children(f)
+        parts = [truth.get((ix, k)) for k in kids]
+        if None in parts:
+            todo.extend((ix, k) for k, got in zip(kids, parts) if got is None)
+            return None
+        if kind is Not:
+            return ix.live & ~parts[0]
+        if kind is And:
+            return parts[0] & parts[1]
+        if kind is Or:
+            return parts[0] | parts[1]
+        if kind is Implies:
+            return (ix.live & ~parts[0]) | parts[1]
+        if kind is CondBelief:
+            return box(ix.best(f.agent, parts[0]), parts[1])
+        return box(ix.groups(_KIND_OF_NODE[kind], f.agent), parts[0])
+
+
+def _ref_ranking_preorder(rng: random.Random, states) -> frozenset:
+    rank = {s: rng.randrange(len(states)) for s in states}
+    return frozenset((x, y) for x in states for y in states if rank[x] <= rank[y])
+
+
+def _ref_random_preorder(rng: random.Random, states, total: bool) -> frozenset:
+    first = _ref_ranking_preorder(rng, states)
+    if total or rng.random() < 0.5:
+        return first
+    return first & _ref_ranking_preorder(rng, states)
+
+
+def ref_generate(spec: GenSpec) -> Model:
+    """The model ``generate`` draws for spec, built the way it once was:
+    every relation as a frozenset of name pairs, handed to ``Model``."""
+    rng = random.Random(spec.seed)
+    n = rng.randint(spec.min_states, spec.max_states)
+    states = [f"w{i}" for i in range(n)]
+    agents = list(string.ascii_lowercase[:spec.agents])
+    atom_names = [string.ascii_lowercase[15 + i % 11] + ("" if i < 11 else str(i // 11))
+                  for i in range(spec.atoms)]
+
+    singleton_classes = spec.discrete_preorders and spec.locally_connected
+    total = spec.total_preorders or spec.locally_connected
+
+    epist = {}
+    classes = {}
+    for a in agents:
+        if singleton_classes:
+            blocks = [[s] for s in states]
+        else:
+            k = rng.randint(1, n)
+            label = {s: rng.randrange(k) for s in states}
+            blocks = [[s for s in states if label[s] == b] for b in range(k)]
+            blocks = [b for b in blocks if b]
+        classes[a] = blocks
+        epist[a] = frozenset(
+            (x, y) for block in blocks for x in block for y in block)
+
+    plaus = {}
+    for a in agents:
+        if spec.discrete_preorders:
+            order = identity_pairs(states)
+            for w in states:
+                plaus[(a, w)] = order
+        elif spec.uniform:
+            for block in classes[a]:
+                order = _ref_random_preorder(rng, states, total)
+                for w in block:
+                    plaus[(a, w)] = order
+        else:
+            for w in states:
+                plaus[(a, w)] = _ref_random_preorder(rng, states, total)
+
+    valuation = {
+        p: frozenset(s for s in states if rng.random() < 0.5)
+        for p in atom_names
+    }
+    return Model(states, agents, epist, plaus, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plausikit import (Fragment, GenSpec, InputError, ResourceLimitError,
                        formula_depth, fragment_of, generate, genspec_from_dict,
@@ -9,7 +10,8 @@ from plausikit import (Fragment, GenSpec, InputError, ResourceLimitError,
                        model_to_json, random_formula, rename_states, strict,
                        validate)
 
-from helpers import all_fragments, broken_models, ref_random_formula
+from helpers import (all_fragments, broken_models, ref_generate,
+                     ref_random_formula)
 
 
 def test_identical_spec_and_seed_give_identical_bytes():
@@ -97,6 +99,30 @@ def test_genspec_document_round_trip():
     assert genspec_from_dict({"states": 3}) == GenSpec(3, 3)
     with pytest.raises(InputError):
         genspec_from_dict({"state": 3})
+
+
+@st.composite
+def genspecs(draw, max_states=14):
+    lo = draw(st.integers(1, max_states))
+    return GenSpec(lo, draw(st.integers(lo, max_states)), draw(st.integers(1, 3)),
+                   draw(st.integers(0, 3)), *[draw(st.booleans()) for _ in range(4)],
+                   seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(genspecs())
+def test_generate_matches_the_generator_of_name_pairs(spec):
+    """Orders built from rank buckets give the model, the file bytes and
+    the shared orders that orders built as sets of name pairs gave."""
+    got, want = generate(spec), ref_generate(spec)
+    assert got == want
+    assert model_to_json(got) == model_to_json(want)
+    # Equality reads only the above rows of an order; check its below too.
+    orders = lambda m: [(k, o.above, o.below) for k, o in sorted(m.index._orders.items())]
+    assert orders(got) == orders(want)
+    distinct = lambda m: len({id(o) for o in m.index._orders.values()})
+    assert distinct(got) == distinct(want)
+    assert validate(got) == []
 
 
 def test_rename_states_is_an_isomorphism():

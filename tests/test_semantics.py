@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plausikit import (Evaluator, InputError, Model, eq_class, holds,
-                       identity_pairs, is_valid_on, min_set, parse, total_pairs,
-                       truth_set)
+from plausikit import (And, Announce, Atom, CondBelief, Evaluator, GenSpec,
+                       InputError, Know, Model, Not, Upgrade, eq_class,
+                       generate, holds, identity_pairs, is_valid_on, min_set,
+                       parse, total_pairs, truth_set)
+from plausikit.model import Index
 
-from helpers import (DISCRETE2, TOTAL2, model_with_formula, models, ref_holds,
+from helpers import (DISCRETE2, TOTAL2, RefEvaluator, formulas,
+                     model_with_formula, models, ref_holds, shared_graphs,
                      two_state)
 
 
@@ -204,3 +207,86 @@ def test_nested_dynamics_on_larger_models(data):
     sat = truth_set(m, f)
     for w in m.states:
         assert (w in sat) == ref_holds(m, w, f)
+
+
+def test_a_value_that_is_not_a_formula_is_a_type_error():
+    m = two_state(TOTAL2, TOTAL2, atoms={"p": {"w"}})
+    with pytest.raises(TypeError, match="^not a formula: 'p'$"):
+        truth_set(m, "p")
+    with pytest.raises(TypeError, match="^not a formula: 'q'$"):
+        truth_set(m, And(Atom("p"), "q"))
+
+
+def _outcome(ev, ix, f):
+    try:
+        return ev.mask(ix, f)
+    except InputError as err:   # an agent the model lacks
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_masks_equal_those_of_the_two_visit_loop(data):
+    """The once-per-node loop against the loop it replaced, with a fresh
+    evaluator per formula and with one evaluator across the list."""
+    m = data.draw(models())
+    graph = data.draw(st.booleans())
+    fs = data.draw(shared_graphs() if graph else st.lists(
+        formulas(atoms=sorted(m.valuation) or ["p"], agents=m.agents),
+        min_size=1, max_size=4))
+    ix = m.index
+    got = [_outcome(Evaluator(), ix, f) for f in fs]
+    assert got == [_outcome(RefEvaluator(), ix, f) for f in fs]
+    shared, ref = Evaluator(), RefEvaluator()
+    assert [_outcome(shared, ix, f) for f in fs] == got
+    assert [_outcome(ref, ix, f) for f in fs] == got
+    if not graph:   # a shared graph's tree is too large to walk state by state
+        for f, mask in zip(fs, got):
+            assert all((mask >> ix.pos[w] & 1) == ref_holds(m, w, f)
+                       for w in m.states)
+
+
+def _deep_chain(depth: int):
+    """K[a], B[a | p], [! p], [up p] and a conjunct in turn, innermost
+    first; each conjunct K[a] q is a new object equal to the others."""
+    p, f = Atom("p"), Atom("q")
+    steps = (lambda g: Know("a", g), lambda g: CondBelief("a", p, g),
+             lambda g: Announce(p, g), lambda g: Upgrade(p, g),
+             lambda g: And(g, Know("a", Atom("q"))))
+    for k in range(depth):
+        f = steps[k % 5](f)
+    return f
+
+
+def test_deep_formulas_evaluate_without_recursion():
+    m = generate(GenSpec(6, 6, 1, 2, seed=4))
+    p = m.valuation["p"]
+    assert 0 < len(p) < len(m.states)
+    f = Atom("p")
+    for _ in range(100_000):
+        f = Not(f)
+    assert truth_set(m, f) == p
+    assert truth_set(m, Not(f)) == frozenset(m.states) - p
+    deep = _deep_chain(3000)
+    assert Evaluator().mask(m.index, deep) == RefEvaluator().mask(m.index, deep)
+    short = _deep_chain(12)
+    assert truth_set(m, short) == {w for w in m.states if ref_holds(m, w, short)}
+
+
+def test_each_modal_subformula_is_transformed_once_per_index(monkeypatch):
+    """Transformer calls against the distinct (index, modal subformula)
+    pairs met, formulas told apart by value."""
+    calls = []
+    for name in ("groups", "best"):
+        real = getattr(Index, name)
+        monkeypatch.setattr(Index, name, lambda self, *args, real=real: (
+            calls.append(self), real(self, *args))[1])
+    m = generate(GenSpec(6, 6, 1, 2, seed=4))
+    ev = Evaluator()
+    ev.truth_set(m, _deep_chain(3000))
+    modal = {(ix, g) for ix, g in ev._truth
+             if type(g) in (Know, CondBelief)}
+    # 600 K and 600 B nodes evaluate on the view after [up p] [! p]; the
+    # innermost, K[a] q, equals the 600 conjuncts there, and the outermost
+    # conjunct evaluates on the model.
+    assert len(calls) == len(modal) == 1201
