@@ -121,7 +121,8 @@ def _ranking(rng: random.Random, bit: list) -> tuple:
     ranked no better.  ``bit`` gives each state's bit, in draw order."""
     n = len(bit)
     rank = [rng.randrange(n) for _ in bit]
-    le, ge = _buckets(rank, bit, n), _buckets(rank, bit, n)
+    le = _buckets(rank, bit, n)
+    ge = le.copy()
     # Prefix and suffix unions: the states ranked at most, at least r.
     for r in range(1, n):
         le[r] |= le[r - 1]

@@ -6,8 +6,9 @@ epistemic classes and plausibility orders as masks.  Each node is computed
 once per index, when the masks of its operands, read straight from its
 fields, are known; an explicit stack holds the nodes waiting for theirs.
 Dynamic operators do not build models: an announcement is a view of the
-index with fewer live states and an upgrade a view with a winning zone.  A view derives its box
-targets and most plausible states from its parent's and builds no orders.
+index with fewer live states and an upgrade a view with a winning zone.  A
+view derives its box targets and most plausible states from its parent's
+and builds no orders.
 The masks of subformulas and the views are memoized within one session.
 Those caches live inside an :class:`Evaluator` instance and are never shared
 between calls unless the caller shares the evaluator; what the index itself
